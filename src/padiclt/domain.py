@@ -16,20 +16,44 @@ with the j = h numerator term read as p*lam_i (w_h := 1, sigma^h = id),
 which is exactly right multiplication of the row (1, w_1, ..., w_{h-1}) by
 the embedded matrix.  Sections carry a twist s and transform with the
 extra factor den^s.
+
+Products of functions go through one kernel, _lazy_combine, which computes
+sum_k F_k * G_k over a list of pairs without building a scalar per
+coefficient product.  A coefficient's e coordinates c_0..c_{e-1} are packed
+into one Python int sum c_i 2^(i W); the product of two packed ints then
+holds the 2e-1 coordinates of the unreduced polynomial product in x, one per
+W-bit slot.  Coordinates are reduced, so every slot of one product is below
+e p^(qa+qb), where qa and qb bound the precisions of the two factors; a call
+that forms P coefficient products sums at most P of them into one slot, which
+stays below e p^(qa+qb) P.  With W = (p^(qa+qb) e P).bit_length() + 1 no slot
+carries into the next, so packed products may be added freely.  A monomial
+w^a is keyed by the int sum a_i (Dmax+1)^(i-1); pairs of total degree above
+Dmax are skipped before their keys are added, so every exponent of a sum is
+at most Dmax and key addition is carry-free too.
+
+Each output monomial therefore accumulates the plain integer sum of its
+products, and is reduced once: mod Phi (the context modulus) and mod p^n,
+where n is the least min(qa, qb) over the pairs that reached it.  This is
+exactly what reducing every product and summing at min precision gives:
+reduction by the monic Phi is Z-linear, and p^n divides p^m for n <= m, so
+reducing at the end loses nothing the per-product reductions kept.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .divalg import DivElem, j_embed
 from .linalg import KernelResult, PrecisionLossError, divide_by_pivot, kernel_basis
 from .padics import (
+    ContextMismatchError,
     NonUnitError,
     PadicScalar,
     UnramContext,
+    _reduce_poly,
     frobenius,
     scalar_add,
     scalar_inv,
@@ -50,10 +74,14 @@ class NotInPError(ValueError):
 
 def monomials(h: int, dmax: int) -> list[tuple[int, ...]]:
     """All exponent tuples in N^(h-1) of total degree <= dmax, graded-lex."""
-    out = [t for t in itertools.product(range(dmax + 1), repeat=h - 1)
-           if sum(t) <= dmax]
-    out.sort(key=lambda t: (sum(t), t))
-    return out
+
+    def of_degree(n: int, d: int) -> list[tuple[int, ...]]:
+        # the n-tuples summing to d, in increasing lexicographic order
+        if n <= 1:
+            return [(d,)] if n else [()] if d == 0 else []
+        return [(a,) + rest for a in range(d + 1) for rest in of_degree(n - 1, d - a)]
+
+    return [t for d in range(dmax + 1) for t in of_degree(h - 1, d)]
 
 
 class DomainFunc:
@@ -87,9 +115,6 @@ class DomainFunc:
     def support(self) -> set[tuple[int, ...]]:
         return set(self.terms)
 
-    def max_total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def eq(self, other: "DomainFunc") -> bool:
         keys = set(self.terms) | set(other.terms)
         return all(self.coeff(k) == other.coeff(k) for k in keys)
@@ -119,17 +144,8 @@ class DomainFunc:
                           {e: scalar_mul_int(v, k) for e, v in self.terms.items()})
 
     def mul(self, other: "DomainFunc") -> "DomainFunc":
-        out: dict = {}
-        dmax = self.dmax
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > dmax:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                t = scalar_mul(c1, c2)
-                out[exp] = scalar_add(out[exp], t) if exp in out else t
-        return DomainFunc(self.ctx, self.h, self.dmax, out)
+        return DomainFunc(self.ctx, self.h, self.dmax, _lazy_combine(
+            self.ctx, self.h, self.dmax, [(self.terms, other.terms)]))
 
     def pow(self, k: int) -> "DomainFunc":
         result = domain_const(self.ctx, self.h, self.dmax, self.ctx.one())
@@ -224,6 +240,93 @@ class DomainFunc:
                     term = scalar_mul(term, point[i])
             acc = scalar_add(acc, term)
         return acc
+
+
+def _lazy_combine(ctx: UnramContext, h: int, dmax: int,
+                  pairs: list[tuple[dict, dict]]) -> dict[tuple[int, ...], PadicScalar]:
+    """Terms of sum F*G over `pairs` of term dicts, truncated at total degree dmax.
+
+    The result equals, coordinates and precision both, computing each F*G
+    with one scalar_mul/scalar_add per pair of coefficients and summing the
+    products with DomainFunc.add.  Inside one product every pair of
+    coefficients counts towards the precision, even one whose product is 0.
+    DomainFunc.add drops a partial sum that is 0 at its precision, so a later
+    summand can restore precision; with more than one precision in play that
+    is order-dependent, and only the sequential sum reproduces it.
+    """
+    pairs = [(F, G) for F, G in pairs if F and G]
+    if not pairs:
+        return {}
+    levels: set[int] = set()
+    qf = qg = count = 0
+    for F, G in pairs:
+        cf, cg = next(iter(F.values())), next(iter(G.values()))
+        if not cf.ctx.same_ring(cg.ctx):
+            raise ContextMismatchError(
+                f"context mismatch: (p={cf.ctx.p}, e={cf.ctx.e}) vs (p={cg.ctx.p}, e={cg.ctx.e})")
+        pf = {c.prec for c in F.values()}
+        pg = {c.prec for c in G.values()}
+        levels.update(min(a, b) for a in pf for b in pg)
+        qf, qg = max(qf, *pf), max(qg, *pg)
+        count += len(F) * len(G)
+    if len(levels) > 1 and len(pairs) > 1:
+        acc = DomainFunc(ctx, h, dmax)
+        for pair in pairs:
+            acc = acc.add(DomainFunc(ctx, h, dmax, _lazy_combine(ctx, h, dmax, [pair])))
+        return acc.terms
+
+    p, e = ctx.p, ctx.e
+    width = (p ** (qf + qg) * e * count).bit_length() + 1
+    stride = dmax + 1
+
+    def pack(terms: dict) -> list[tuple[int, int, int, int]]:
+        # (degree, key, packed coordinates, precision) of the terms within dmax
+        out = []
+        for exp, c in terms.items():
+            d = sum(exp)
+            if d <= dmax:
+                key = x = 0
+                for a in reversed(exp):
+                    key = key * stride + a
+                for v in reversed(c.coords):
+                    x = (x << width) + v
+                out.append((d, key, x, c.prec))
+        return out
+
+    sums = {q: defaultdict(int) for q in levels}
+    for F, G in pairs:
+        groups: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+        for d, key, x, q in sorted(pack(G)):
+            degs, items = groups.setdefault(q, ([], []))
+            degs.append(d)
+            items.append((key, x))
+        for d1, k1, x1, q1 in pack(F):
+            room = dmax - d1
+            for q2, (degs, items) in groups.items():
+                acc = sums[min(q1, q2)]
+                for k2, x2 in items[:bisect_right(degs, room)]:
+                    acc[k1 + k2] += x1 * x2
+
+    merged: dict[int, list[int]] = {}
+    for q in sorted(levels):
+        for k, v in sums[q].items():
+            if k in merged:
+                merged[k][0] += v
+            else:
+                merged[k] = [v, q]
+    mask = (1 << width) - 1
+    shifts = range(0, (2 * e - 1) * width, width)
+    out = {}
+    for k, (v, q) in merged.items():
+        pn = p ** q
+        coords = _reduce_poly([((v >> s) & mask) % pn for s in shifts], ctx.modulus, e, pn)
+        if any(coords):
+            exp = []
+            for _ in range(h - 1):
+                k, a = divmod(k, stride)
+                exp.append(a)
+            out[tuple(exp)] = PadicScalar(ctx, coords, q)
+    return out
 
 
 def domain_const(ctx, h, dmax, c: PadicScalar) -> DomainFunc:
@@ -338,14 +441,19 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
         for _ in range(max_pows[i]):
             row.append(row[-1].mul(gens[i]))
         pows.append(row)
-    acc = DomainFunc(ctx, h, dmax)
+    # A power pows[i][a], a >= 1, is 1 * gens[i]^a with no precision above
+    # that of the 1, so 1 * pows[i][a] is pows[i][a]: a term starts from its
+    # first power.
+    const = (0,) * (h - 1)
+    one = domain_const(ctx, h, dmax, ctx.one())
+    pairs = []
     for e, c in f.terms.items():
-        term = domain_const(ctx, h, dmax, ctx.one())
+        term = one
         for i, a in enumerate(e):
             if a:
-                term = term.mul(pows[i][a])
-        acc = acc.add(term.scale(c))
-    return acc
+                term = pows[i][a] if term is one else term.mul(pows[i][a])
+        pairs.append(({const: c}, term.terms))
+    return DomainFunc(ctx, h, dmax, _lazy_combine(ctx, h, dmax, pairs))
 
 
 def _gamma_weights(gamma: DivElem, h: int, ctx, dmax: int):

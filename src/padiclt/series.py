@@ -236,9 +236,6 @@ class TruncSeries:
     def constant_term(self):
         return self.coeff((0,) * self.nvars)
 
-    def degree_bound_terms(self):
-        return sorted(self.terms.items())
-
     def eq(self, other: "TruncSeries") -> bool:
         keys = set(self.terms) | set(other.terms)
         return all(self.ring.eq(self.coeff(k), other.coeff(k)) for k in keys)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclt.padics import make_context, scalar_inv, scalar_mul, scalar_sub
+from padiclt.padics import make_context, scalar_add, scalar_inv, scalar_mul, scalar_sub
 from padiclt.divalg import div_from_scalar, div_mul, div_one, j_embed, sample_gamma, sample_obh
 from padiclt.domain import (
     DomainFunc,
+    _apply_substitution,
     NotInPError,
     Section,
     ZeroAtPrecisionError,
@@ -293,3 +295,171 @@ def test_kernel_vectors_are_annihilated():
     for f in k.basis:
         for (i, j) in nops:
             assert lie_act(i, j, Section(f, 3)).is_zero_at_precision()
+
+
+# --- the lazy coefficient kernel against the per-pair scalar loop ---------
+
+def _reference_mul(f: DomainFunc, g: DomainFunc) -> DomainFunc:
+    """The product with one scalar_mul/scalar_add per pair of coefficients."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            if sum(e1) + sum(e2) > f.dmax:
+                continue
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            t = scalar_mul(c1, c2)
+            out[exp] = scalar_add(out[exp], t) if exp in out else t
+    return DomainFunc(f.ctx, f.h, f.dmax, out)
+
+
+def _reference_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
+    """f(gens) summed term by term: acc + (prod of generator powers) * c."""
+    ctx, h, dmax = f.ctx, f.h, f.dmax
+    pows = []
+    for i in range(h - 1):
+        row = [domain_const(ctx, h, dmax, ctx.one())]
+        for _ in range(max((e[i] for e in f.terms), default=0)):
+            row.append(_reference_mul(row[-1], gens[i]))
+        pows.append(row)
+    acc = DomainFunc(ctx, h, dmax)
+    for e, c in f.terms.items():
+        term = domain_const(ctx, h, dmax, ctx.one())
+        for i, a in enumerate(e):
+            if a:
+                term = _reference_mul(term, pows[i][a])
+        acc = acc.add(term.scale(c))
+    return acc
+
+
+def _assert_identical(a: DomainFunc, b: DomainFunc) -> None:
+    assert set(a.terms) == set(b.terms)
+    for exp, c in a.terms.items():
+        assert (c.coords, c.prec) == (b.terms[exp].coords, b.terms[exp].prec), exp
+
+
+def _mixed_precision(f: DomainFunc, rng, low: int) -> DomainFunc:
+    """f with each coefficient cut to a random precision in [low, N]."""
+    return DomainFunc(f.ctx, f.h, f.dmax, {e: c.at_precision(rng.randint(low, f.ctx.N))
+                                            for e, c in f.terms.items()})
+
+
+CTX_WIDE = make_context(2, 3, 32)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_mul_matches_reference_wide_coefficients(h):
+    rng = random.Random(20 + h)
+    for dmax in (0, 1, 4):
+        for _ in range(4):
+            f = random_domain_func(CTX_WIDE, h, dmax, rng)
+            g = random_domain_func(CTX_WIDE, h, dmax, rng)
+            _assert_identical(f.mul(g), _reference_mul(f, g))
+
+
+def test_mul_empty_operand_and_degree_zero():
+    rng = random.Random(21)
+    f = random_domain_func(CTX3, 3, 3, rng)
+    empty = DomainFunc(CTX3, 3, 3)
+    assert f.mul(empty).is_zero_at_precision() and empty.mul(f).is_zero_at_precision()
+    a, b = random_domain_func(CTX3, 3, 0, rng), random_domain_func(CTX3, 3, 0, rng)
+    prod = a.mul(b)
+    _assert_identical(prod, _reference_mul(a, b))
+    assert set(prod.terms) <= {(0, 0)}
+
+
+def test_mul_rejects_mixed_contexts():
+    from padiclt.padics import ContextMismatchError
+    with pytest.raises(ContextMismatchError):
+        domain_var(CTX2, 2, 4, 1).mul(domain_var(make_context(3, 2, 8), 2, 4, 1))
+
+
+def test_mul_drops_outputs_that_cancel():
+    ctx = CTX2
+    w = domain_var(ctx, 2, 4, 1)
+    one = domain_const(ctx, 2, 4, ctx.one())
+    # (1 + w)(1 - w) = 1 - w^2: the w coefficient cancels exactly
+    prod = one.add(w).mul(one.sub(w))
+    _assert_identical(prod, _reference_mul(one.add(w), one.sub(w)))
+    assert set(prod.terms) == {(0,), (2,)}
+    # p^5 * p^3 = p^8 vanishes mod p^8, and still sets the precision
+    a = domain_const(ctx, 2, 4, ctx.from_int(5 ** 5))
+    b = domain_const(ctx, 2, 4, ctx.from_int(5 ** 3)).add(w)
+    prod = a.mul(b)
+    _assert_identical(prod, _reference_mul(a, b))
+    assert set(prod.terms) == {(1,)}
+
+
+def test_mul_mixed_precision_within_and_across_operands():
+    rng = random.Random(22)
+    for ctx, h in ((CTX2, 2), (CTX3, 3), (CTX_WIDE, 3)):
+        for _ in range(6):
+            f = _mixed_precision(random_domain_func(ctx, h, 4, rng), rng, 1)
+            g = _mixed_precision(random_domain_func(ctx, h, 4, rng), rng, 1)
+            _assert_identical(f.mul(g), _reference_mul(f, g))
+            # a uniform operand times a mixed one
+            u = random_domain_func(ctx, h, 4, rng).at_precision(3)
+            _assert_identical(u.mul(f), _reference_mul(u, f))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([(2, 1, 6), (2, 2, 32), (3, 3, 4), (5, 2, 8)]),
+       st.integers(2, 4), st.integers(0, 5), st.integers(0, 10 ** 6), st.booleans())
+def test_mul_matches_reference_hypothesis(params, h, dmax, seed, mixed):
+    ctx = make_context(*params)
+    rng = random.Random(seed)
+    f = random_domain_func(ctx, h, dmax, rng, ensure_nonzero=False)
+    g = random_domain_func(ctx, h, rng.randint(0, dmax), rng, ensure_nonzero=False)
+    if mixed:
+        f, g = _mixed_precision(f, rng, 1), _mixed_precision(g, rng, 1)
+    _assert_identical(f.mul(g), _reference_mul(f, g))
+
+
+def test_substitution_keeps_precision_of_nonzero_products():
+    # c0 = 5 at precision 2 times the constant 5 of the generator is 0 mod
+    # 25, so that product is dropped and does not lower the precision of
+    # the constant term, which comes from c1 alone at precision 8
+    ctx = CTX2
+    c0, c1 = ctx.from_int(5, prec=2), ctx.from_int(3)
+    f = DomainFunc(ctx, 2, 4, {(1,): c0, (0,): c1})
+    gen = domain_const(ctx, 2, 4, ctx.from_int(5)).add(domain_var(ctx, 2, 4, 1))
+    out = _apply_substitution(f, [gen])
+    _assert_identical(out, _reference_substitution(f, [gen]))
+    assert (out.terms[(0,)].coords, out.terms[(0,)].prec) == ((3, 0), 8)
+    assert out.terms[(1,)].prec == 2
+
+
+def test_substitution_restarts_precision_after_a_cancelled_partial_sum():
+    # with gen = 1 + w the constant term collects a + b + c in that order;
+    # a + b = 25 is 0 at precision 2 and is dropped, so the sum restarts
+    # from c = 3 at precision 8 instead of ending as 28 mod 25
+    ctx = CTX2
+    a, b, c = ctx.from_int(5, prec=2), ctx.from_int(20), ctx.from_int(3)
+    f = DomainFunc(ctx, 2, 4, {(0,): a, (1,): b, (2,): c})
+    gen = domain_const(ctx, 2, 4, ctx.one()).add(domain_var(ctx, 2, 4, 1))
+    out = _apply_substitution(f, [gen])
+    _assert_identical(out, _reference_substitution(f, [gen]))
+    assert (out.terms[(0,)].coords, out.terms[(0,)].prec) == ((3, 0), 8)
+
+
+def test_substitution_matches_reference_mixed_precision():
+    rng = random.Random(23)
+    for ctx, h in ((CTX2, 2), (CTX3, 3), (make_context(2, 2, 6), 3)):
+        for trial in range(8):
+            f = random_domain_func(ctx, h, 4, rng)
+            gens = [random_domain_func(ctx, h, 4, rng) for _ in range(h - 1)]
+            if trial % 2:
+                f = _mixed_precision(f, rng, 1)
+                gens = [_mixed_precision(g, rng, 1) for g in gens]
+            _assert_identical(_apply_substitution(f, gens), _reference_substitution(f, gens))
+
+
+def test_monomials_match_filtered_product():
+    for h in range(1, 6):
+        for dmax in range(9):
+            old = [t for t in itertools.product(range(dmax + 1), repeat=h - 1) if sum(t) <= dmax]
+            old.sort(key=lambda t: (sum(t), t))
+            assert monomials(h, dmax) == old
+
+
+def test_monomials_count_without_enumerating_the_cube():
+    assert len(monomials(8, 6)) == math.comb(13, 7)
