@@ -12,7 +12,10 @@ slow drift of the host hits both sides alike.  Then each checkout gets one
 traced run at seed 0.  The file records, per workload, the median and
 quartiles of every end-to-end metric on each side, how many pairs the change
 won, the failed-cell counts, and the traced per-layer metrics of both sides.
-Both checkouts run with this interpreter, one run at a time.
+Both checkouts run with this interpreter, one run at a time.  After writing
+the file it prints, per workload and end-to-end metric, both medians, their
+ratio, the pairs won, and the change median of the newest earlier
+BENCH_<n>.json in the repository root.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -45,6 +49,33 @@ def bench(checkout: Path, workload: str, seed: int, trace: int, seconds: float) 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def previous_bench(root: Path, out: Path) -> Path | None:
+    """The newest BENCH_<n>.json in `root` older than `out`: the largest n below
+    out's own number, or the largest n of all if `out` is not named BENCH_<n>.json."""
+    own = re.fullmatch(r"BENCH_(\d+)\.json", out.name)
+    found = {}
+    for path in root.glob("BENCH_*.json"):
+        m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        if m and path.resolve() != out.resolve() and (not own or int(m[1]) < int(own[1])):
+            found[int(m[1])] = path
+    return found[max(found)] if found else None
+
+
+def print_deltas(report: dict, previous: Path | None) -> None:
+    """One stderr line per workload and end-to-end metric: both medians, their
+    ratio, the pairs the change won, and the change median in `previous`."""
+    before = json.loads(previous.read_text())["workloads"] if previous else {}
+    for workload, w in report["workloads"].items():
+        for name, m in w["end_to_end"].items():
+            old = before.get(workload, {}).get("end_to_end", {}).get(name)
+            then = f"{old['change']['median']:.4g}" if old else "-"
+            print(f"{workload} {name}: base {m['base']['median']:.4g} "
+                  f"change {m['change']['median']:.4g} ratio {m['ratio']:.3f} "
+                  f"wins {m['change_wins']}/{report['pairs']}; "
+                  f"{previous.name if previous else 'no earlier BENCH file'} change {then}",
+                  file=sys.stderr)
 
 
 def main() -> int:
@@ -91,6 +122,7 @@ def main() -> int:
             },
         }
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print_deltas(report, previous_bench(ROOT, args.out))
     return 0
 
 

@@ -58,6 +58,8 @@ def _load_config(args) -> ExperimentConfig:
             base = json.loads(args.config.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigInvalidError(f"cannot read config: {exc}") from exc
+        if not isinstance(base, dict):
+            raise ConfigInvalidError(f"config must be a JSON object, got {type(base).__name__}")
     base["experiment"] = args.experiment
     for name in ("seed", "p", "h", "e", "N", "Dmax", "nmax"):
         val = getattr(args, name, None)

@@ -59,6 +59,12 @@ class ExperimentConfig:
             self.e = self.h
 
     def validate(self) -> None:
+        if not isinstance(self.experiment, str) or not isinstance(self.out, (str, type(None))):
+            raise ConfigInvalidError("experiment and out must be strings")
+        for name in ("p", "h", "e", "N", "Dmax", "nmax", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
         if self.p < 2 or any(self.p % k == 0 for k in range(2, int(self.p ** 0.5) + 1)):
             raise ConfigInvalidError(f"p = {self.p} is not prime")
         if self.h < 1 or self.N < 1 or self.Dmax < 1 or self.nmax < 0:
@@ -131,12 +137,18 @@ def _digest(cfg: ExperimentConfig, check_id: str, **extra) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+_TRIAL_COUNTS = ("trials", "pairs", "comparisons")
+
+
 class _Recorder:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.records: list[CheckRecord] = []
 
     def add(self, check_id: str, anchor: str, passed: bool, measured, t0: float, **extra):
+        """Record one check; a check that counted zero trials, pairs or comparisons fails."""
+        if isinstance(measured, dict) and any(measured.get(k) == 0 for k in _TRIAL_COUNTS):
+            passed = False
         self.records.append(CheckRecord(
             check_id, anchor, _digest(self.cfg, check_id, **extra),
             measured, bool(passed), round((time.perf_counter() - t0) * 1000, 3)))
@@ -992,10 +1004,10 @@ EXPERIMENTS = {
 
 
 def run(cfg: ExperimentConfig) -> Report:
+    cfg.validate()
     if cfg.experiment not in EXPERIMENTS:
         raise UnknownExperimentError(
             f"unknown experiment {cfg.experiment!r}; see `list`")
-    cfg.validate()
     checks = EXPERIMENTS[cfg.experiment](cfg)
     return Report(cfg.experiment, cfg.to_json(), checks)
 

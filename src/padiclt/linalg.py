@@ -3,6 +3,24 @@
 Elimination pivots on minimal valuation (ties: smallest column, then row)
 so that every division is by the entry of least valuation seen so far and
 the absolute-precision loss is bounded by the pivot valuations.
+
+kernel_basis eliminates over sparse rows of plain integer coordinates: a row
+is one precision plus a dict col -> (coords, valuation) holding only its
+nonzero entries.  One precision per row is exact, not an approximation.  The
+rows coming in each carry one precision (kernel_basis checks this).
+Dividing a row of precision P by a pivot of valuation v lowers every entry
+to P - v; subtracting f times the pivot row from row r lowers every entry
+of r to min(P_r, P_pivot), because f comes from row r.  So each row keeps a
+single precision throughout.  A zero entry is all-zero coordinates at any
+precision, so leaving it out of the dict loses nothing; only the output
+needs the row's precision back, for the zeros of the returned basis.
+
+Valuations are cached when an entry is written, and each row keeps its least
+(valuation, col), so a pivot step scans rows, not entries.  The pivot's unit
+part is inverted once per step, and only the rows with a nonzero entry in
+the pivot column are updated, over the pivot row's nonzero columns (their
+other entries are only cut to the new precision).  Scalars are built only
+for the returned basis.
 """
 
 from __future__ import annotations
@@ -10,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .padics import (
+    ContextMismatchError,
     PadicScalar,
     UnramContext,
+    _coords_mul,
+    _coords_valuation,
     scalar_add,
     scalar_inv,
     scalar_mul,
@@ -75,54 +96,98 @@ class KernelResult:
     reliable: bool
 
 
+def _row_best(row: dict[int, tuple]) -> tuple[int, int] | None:
+    """Least (valuation, col) over the entries of a sparse row that can pivot."""
+    return min(((v, c) for c, (_, v) in row.items() if v is not None), default=None)
+
+
 def kernel_basis(rows: list[list[PadicScalar]], ncols: int, ctx: UnramContext,
                  prec: int) -> KernelResult:
     """Right kernel of the matrix given by `rows` over the scalar ring.
 
-    Pivots are chosen with minimal valuation; ties break toward the smallest
-    column index (callers order columns graded-lexicographically), then the
-    smallest row.  The result is flagged unreliable when a pivot's valuation
-    exceeds prec/2.
+    Every entry of one row must carry the same precision (different rows may
+    differ); a row of mixed precision raises ValueError, and an entry of
+    another ring than `ctx` raises ContextMismatchError.  Pivots are chosen
+    with minimal valuation; ties break toward the smallest column index
+    (callers order columns graded-lexicographically), then the smallest row.
+    The result is flagged unreliable when a pivot's valuation exceeds prec/2.
     """
-    a = [row[:] for row in rows]
-    nrows = len(a)
+    p, e, modulus = ctx.p, ctx.e, ctx.modulus
+    precs: list[int] = []  # the one precision of each row
+    # col -> (coords, valuation) of each nonzero entry; valuation None (an input
+    # entry that is 0 at its precision but not reduced) never pivots
+    ents: list[dict[int, tuple]] = []
+    for row in rows:
+        entries = [row[c] for c in range(ncols)]
+        row_precs = {x.prec for x in entries}
+        if len(row_precs) > 1:
+            raise ValueError(f"row of mixed precision {sorted(row_precs)}")
+        ent = {}
+        for c, x in enumerate(entries):
+            if x.ctx is not ctx and not x.ctx.same_ring(ctx):
+                raise ContextMismatchError("kernel_basis: entry from another ring")
+            if any(x.coords):
+                ent[c] = (x.coords, x.valuation())
+        precs.append(row_precs.pop() if row_precs else prec)
+        ents.append(ent)
+    nrows = len(ents)
+    best = [_row_best(ent) for ent in ents]
+    unused = set(range(nrows))
     pivots: dict[int, int] = {}  # col -> row
-    used_rows: set[int] = set()
     max_pivot_v = 0
 
     while True:
-        best = None  # (val, col, row)
-        for r in range(nrows):
-            if r in used_rows:
-                continue
-            for c in range(ncols):
-                if c in pivots:
-                    continue
-                v = a[r][c].valuation()
-                if v is None:
-                    continue
-                if best is None or (v, c, r) < best:
-                    best = (v, c, r)
-        if best is None:
+        cands = [(best[r][0], best[r][1], r) for r in unused if best[r] is not None]
+        if not cands:
             break
-        v, col, row = best
+        v, col, row = min(cands)
         max_pivot_v = max(max_pivot_v, v)
-        piv = a[row][col]
-        a[row] = [divide_by_pivot(x, piv) for x in a[row]]
-        for r in range(nrows):
-            if r != row and not a[r][col].is_zero_at_precision():
-                f = a[r][col]
-                a[r] = [scalar_sub(x, scalar_mul(f, y)) for x, y in zip(a[r], a[row])]
+        # divide the pivot row by the pivot: the row drops to precision P - v
+        n = precs[row] - v
+        pn, pv = p ** n, p ** v
+        pivot_row = {}
+        unit = tuple(x // pv for x in ents[row][col][0])
+        inv = scalar_inv(PadicScalar(ctx, unit, n)).coords
+        for c, (coords, _) in ents[row].items():
+            if any(x % pv for x in coords):
+                raise PrecisionLossError("entry not divisible by pivot power")
+            q = _coords_mul(tuple(x // pv for x in coords), inv, modulus, e, pn)
+            if any(q):
+                pivot_row[c] = (q, _coords_valuation(q, p))
+        ents[row], precs[row] = pivot_row, n
+        # row r -= f * pivot row, for every row r with a nonzero f in the pivot column;
+        # every entry of r drops to precision min(P_r, n)
+        for r, ent in enumerate(ents):
+            if r == row or col not in ent:
+                continue
+            f = ent[col][0]
+            m = min(precs[r], n)
+            pm = p ** m
+            new = {}
+            for c, (x, vx) in ent.items():
+                if c not in pivot_row and vx is not None and vx < m:
+                    new[c] = (tuple(y % pm for y in x), vx)
+            for c, (y, _) in pivot_row.items():
+                fy = _coords_mul(f, y, modulus, e, pm)
+                x = ent[c][0] if c in ent else (0,) * e
+                d = tuple((a - b) % pm for a, b in zip(x, fy))
+                if any(d):
+                    new[c] = (d, _coords_valuation(d, p))
+            ents[r], precs[r], best[r] = new, m, _row_best(new)
         pivots[col] = row
-        used_rows.add(row)
+        unused.discard(row)
 
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    zero, one = ctx.zero().at_precision(prec), ctx.one().at_precision(prec)
     basis = []
-    for f in free_cols:
-        vec = [ctx.zero().at_precision(prec) for _ in range(ncols)]
-        vec[f] = ctx.one().at_precision(prec)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
         for c, r in pivots.items():
-            vec[c] = scalar_neg(a[r][f])
+            x = ents[r][f][0] if f in ents[r] else (0,) * e
+            pr = p ** precs[r]
+            vec[c] = PadicScalar(ctx, tuple((-y) % pr for y in x), precs[r])
         basis.append(vec)
     return KernelResult(basis, max_pivot_v, max_pivot_v <= prec // 2)
 

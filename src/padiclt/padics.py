@@ -109,6 +109,23 @@ def _is_irreducible_mod_p(poly: list[int], p: int) -> bool:
     return True
 
 
+def _coords_valuation(coords: tuple[int, ...], p: int) -> int | None:
+    """min_i v_p(coords[i]) over the nonzero coordinates; None if all are 0."""
+    best: int | None = None
+    for c in coords:
+        if c == 0:
+            continue
+        v = 0
+        while c % p == 0:
+            c //= p
+            v += 1
+        if best is None or v < best:
+            best = v
+            if best == 0:
+                return 0
+    return best
+
+
 @dataclass(frozen=True)
 class UnramContext:
     """Degree-e unramified extension of Q_p at absolute precision N.
@@ -230,22 +247,8 @@ class PadicScalar:
 
     def valuation(self) -> int | None:
         """min_i v_p(coords[i]), or None as the ">= prec" marker."""
-        p = self.ctx.p
-        best: int | None = None
-        for c in self.coords:
-            if c == 0:
-                continue
-            v = 0
-            while c % p == 0:
-                c //= p
-                v += 1
-            if best is None or v < best:
-                best = v
-                if best == 0:
-                    return 0
-        if best is None or best >= self.prec:
-            return None
-        return best
+        v = _coords_valuation(self.coords, self.ctx.p)
+        return None if v is None or v >= self.prec else v
 
     def is_unit(self) -> bool:
         return self.valuation() == 0
@@ -287,20 +290,24 @@ def _reduce_poly(prod: list[int], modulus: tuple[int, ...], e: int, pn: int) -> 
     return tuple(prod[:e]) if len(prod) >= e else tuple(prod + [0] * (e - len(prod)))
 
 
+def _coords_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], e: int,
+                pn: int) -> tuple[int, ...]:
+    """Coordinates of a*b mod (Phi, pn), for coordinate tuples a and b of length e."""
+    if e == 1:
+        return ((a[0] * b[0]) % pn,)
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _reduce_poly([c % pn for c in prod], modulus, e, pn)
+
+
 def scalar_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:
     _check_ctx(a, b)
     ctx = a.ctx
     n = min(a.prec, b.prec)
-    pn = ctx.p ** n
-    e = ctx.e
-    if e == 1:
-        return PadicScalar(ctx, ((a.coords[0] * b.coords[0]) % pn,), n)
-    prod = [0] * (2 * e - 1)
-    for i, x in enumerate(a.coords):
-        if x:
-            for j, y in enumerate(b.coords):
-                prod[i + j] += x * y
-    return PadicScalar(ctx, _reduce_poly([c % pn for c in prod], ctx.modulus, e, pn), n)
+    return PadicScalar(ctx, _coords_mul(a.coords, b.coords, ctx.modulus, ctx.e, ctx.p ** n), n)
 
 
 def scalar_mul_int(a: PadicScalar, k: int) -> PadicScalar:

@@ -32,6 +32,23 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["run", "height", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"frobnicate": 1}))
     assert main(["run", "height", "--config", str(cfg)]) == 2
+    for bad in ({"p": "5"}, [1, 2], "height", None, {"seed": 1.5}, {"h": True},
+                {"N": None}, {"out": 3}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["run", "height", "--config", str(cfg)]) == 2, bad
+    with pytest.raises(ConfigInvalidError):
+        run(ExperimentConfig("height", p="5"))
+    with pytest.raises(ConfigInvalidError):
+        run(ExperimentConfig(["height"]))
+
+
+def test_zero_trial_checks_fail(capsys):
+    # at h=1 there is no domain variable, so the action checks count no trials
+    rep = run(ExperimentConfig("dheq-vs-matrix", p=3, h=1))
+    zero = [c for c in rep.checks if c.measured.get("trials") == 0]
+    assert [c.check_id for c in zero] == ["dheq-matches-matrix", "p-action-norms"]
+    assert not any(c.passed for c in zero) and not rep.passed
+    assert main(["run", "dheq-vs-matrix", "--h", "1", "--p", "3"]) == 1
 
 
 def test_run_writes_deterministic_report(tmp_path):
