@@ -47,7 +47,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .divalg import DivElem, j_embed
-from .linalg import KernelResult, PrecisionLossError, divide_by_pivot, kernel_basis
+from .linalg import KernelResult, PrecisionLossError, kernel_basis, pivot_divider
 from .padics import (
     ContextMismatchError,
     NonUnitError,
@@ -645,10 +645,10 @@ def fn_sequence(f0: DomainFunc, d: int, s: int, nmax: int
         prev = rec[-1]
         x00 = prev.scale_int(s).sub(prev.euler())
         combined = prev.scale_int(d + n - s).add(x00)
-        n_scalar = ctx.from_int(n)
         divided = {}
-        for e, c in combined.terms.items():
-            divided[e] = divide_by_pivot(c, n_scalar)
+        if combined.terms:  # n may be 0 at precision; only a division can fail on it
+            divide = pivot_divider(ctx.from_int(n))
+            divided = {e: divide(c) for e, c in combined.terms.items()}
         rec.append(DomainFunc(ctx, f0.h, f0.dmax, divided))
     closed = []
     for n in range(nmax + 1):

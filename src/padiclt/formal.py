@@ -98,16 +98,20 @@ def _lt_correction_step(f_series: TruncSeries, cur: TruncSeries, n: int,
 
     For the group law (two_var): E = f(G) - G(f(X), f(Y)); for a
     multiplication series: E = f(G) - G(f(X)).  The degree-n part of E is
-    divisible by p and the correction is E_n / (p^n - p).
+    divisible by p and the correction is E_n / (p^n - p).  E_n depends only
+    on the parts of f and cur of degree <= n (truncation mod deg n+1 is a
+    ring map that commutes with substituting series without constant
+    term), so E is composed at Dmax = n; the correction is returned at
+    cur's Dmax.
     """
+    f = TruncSeries(ring, 1, n, f_series.terms)
+    g = TruncSeries(ring, cur.nvars, n, cur.terms)
     if two_var:
-        fX = TruncSeries(ring, 2, cur.dmax,
-                         {(e[0], 0): c for e, c in f_series.terms.items()})
-        fY = TruncSeries(ring, 2, cur.dmax,
-                         {(0, e[0]): c for e, c in f_series.terms.items()})
-        err = compose_univariate(f_series, cur).sub(substitute_two(cur, fX, fY))
+        fX = TruncSeries(ring, 2, n, {(e[0], 0): c for e, c in f.terms.items()})
+        fY = TruncSeries(ring, 2, n, {(0, e[0]): c for e, c in f.terms.items()})
+        err = compose_univariate(f, g).sub(substitute_two(g, fX, fY))
     else:
-        err = compose_univariate(f_series, cur).sub(compose_univariate(cur, f_series))
+        err = compose_univariate(f, g).sub(compose_univariate(g, f))
     en = {e: c for e, c in err.terms.items() if sum(e) == n}
     if not en:
         return TruncSeries(ring, cur.nvars, cur.dmax)

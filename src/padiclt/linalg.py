@@ -57,13 +57,19 @@ def _shift_down(a: PadicScalar, v: int) -> PadicScalar:
     return PadicScalar(a.ctx, tuple(c // pv for c in a.coords), a.prec - v)
 
 
-def divide_by_pivot(a: PadicScalar, pivot: PadicScalar) -> PadicScalar:
-    """a / pivot where v(a) >= v(pivot); loses v(pivot) digits of precision."""
+def pivot_divider(pivot: PadicScalar):
+    """The map a -> a / pivot for v(a) >= v(pivot), each result losing v(pivot)
+    digits of precision; the pivot's unit part is inverted once, here."""
     v = pivot.valuation()
     if v is None:
         raise PrecisionLossError("pivot is zero at precision")
-    unit = _shift_down(pivot, v)
-    return scalar_mul(_shift_down(a, v), scalar_inv(unit))
+    inv = scalar_inv(_shift_down(pivot, v))
+    return lambda a: scalar_mul(_shift_down(a, v), inv)
+
+
+def divide_by_pivot(a: PadicScalar, pivot: PadicScalar) -> PadicScalar:
+    """a / pivot where v(a) >= v(pivot); loses v(pivot) digits of precision."""
+    return pivot_divider(pivot)(a)
 
 
 def solve_unit_system(matrix: list[list[PadicScalar]], rhs: list[PadicScalar]) -> list[PadicScalar]:

@@ -11,7 +11,8 @@ e x e matrix obtained by Hensel-lifting the p-power map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 
 class ContextMismatchError(ValueError):
@@ -141,6 +142,9 @@ class UnramContext:
     N: int
     modulus: tuple[int, ...]
     frobenius: tuple[tuple[int, ...], ...]
+    # (k, prec) -> (p^prec, rows of the matrix of sigma^k mod p^prec); see frobenius()
+    _frobenius_powers: dict = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     @property
     def pN(self) -> int:
@@ -379,23 +383,34 @@ def scalar_inv(a: PadicScalar) -> PadicScalar:
     return x.at_precision(a.prec)
 
 
+def _frobenius_rows(ctx: UnramContext, k: int, prec: int) -> tuple[int, tuple]:
+    """(p^prec, rows of M^k mod p^prec) for the Frobenius matrix M, cached on ctx."""
+    key = (k, prec)
+    if key not in ctx._frobenius_powers:
+        e, pn = ctx.e, ctx.p ** prec
+        m = [[ctx.frobenius[j][i] for j in range(e)] for i in range(e)]
+        power = m
+        for _ in range(k - 1):
+            power = [[sum(map(mul, row, col)) % pn for col in zip(*m)] for row in power]
+        ctx._frobenius_powers[key] = (pn, tuple(tuple(x % pn for x in row) for row in power))
+    return ctx._frobenius_powers[key]
+
+
 def frobenius(a: PadicScalar, k: int = 1) -> PadicScalar:
-    """sigma^k(a) via the context's Frobenius matrix."""
+    """sigma^k(a) via the context's Frobenius matrix M.
+
+    Applying M k times with a reduction mod p^prec after each step gives
+    M^k a mod p^prec, with M^k the integer power: reduction mod p^prec is a
+    ring map.  So one product with M^k mod p^prec (cached per context and
+    precision) is the same, at every precision, prec > N included.
+    """
     ctx = a.ctx
-    if ctx.e == 1:
-        return a
     k %= ctx.e
-    coords = a.coords
-    pn = ctx.p ** a.prec
-    for _ in range(k):
-        out = [0] * ctx.e
-        for j, cj in enumerate(coords):
-            if cj:
-                col = ctx.frobenius[j]
-                for i in range(ctx.e):
-                    out[i] += cj * col[i]
-        coords = tuple(c % pn for c in out)
-    return PadicScalar(ctx, coords, a.prec)
+    if k == 0:
+        return a
+    pn, rows = _frobenius_rows(ctx, k, a.prec)
+    c = a.coords
+    return PadicScalar(ctx, tuple(sum(map(mul, row, c)) % pn for row in rows), a.prec)
 
 
 def valuation(a: PadicScalar) -> int | None:

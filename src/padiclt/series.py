@@ -6,13 +6,34 @@ is a class representative mod deg Dmax+1).  Coefficient rings are small
 adapter objects; the ones used here are integers mod p^N (covers Z_p and
 F_p), unramified extensions via PadicScalar (covers F_{p^e}), and monic
 polynomial quotients for torsion-point rings.
+
+Products go through one kernel, _lazy_mul, over Z/p^N and unramified
+coefficients (the quotient rings only serve pointwise evaluation, and a
+product of series over any other ring raises TypeError).  A monomial X^a
+is keyed by the int sum a_i (Dmax+1)^i.  The terms of the right factor are
+sorted by total degree, so for each left term the partners that stay
+within Dmax are a prefix found by bisection; every exponent of a kept pair
+is at most Dmax, so adding two keys never carries from one variable into
+the next.  Over Z/p^N each output key accumulates the plain integer sum of
+its products and is reduced once, `% p^N`: reduction mod p^N is a ring map
+from Z, so reducing the sum equals summing the reduced products, and these
+coefficients carry no precision that the order of the sum could change.
+Over an unramified ring the product is domain._lazy_combine on the one
+pair: a coefficient's precision is the least min(prec a, prec b) over the
+pairs that reached its monomial, the rule the per-pair scalar loop
+followed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
+
+from .domain import _lazy_combine
 from .padics import (
     PadicScalar,
     UnramContext,
+    _coords_mul,
     scalar_add,
     scalar_inv,
     scalar_mul,
@@ -151,7 +172,7 @@ class QuotRing:
         if base.from_int(phi[-1]) != 1:
             raise ValueError("quotient modulus must be monic")
         self.base = base
-        self.phi = [base.from_int(c) for c in phi]
+        self.phi = tuple(base.from_int(c) for c in phi)
         self.deg = len(phi) - 1
 
     def __repr__(self):
@@ -182,18 +203,7 @@ class QuotRing:
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        prod = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.base.pN
-        for d in range(len(prod) - 1, self.deg - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for k in range(self.deg):
-                    prod[d - self.deg + k] = (prod[d - self.deg + k] - c * self.phi[k]) % self.base.pN
-        return tuple(prod[: self.deg])
+        return _coords_mul(a, b, self.phi, self.deg, self.base.pN)
 
     def mul_int(self, a, k):
         return tuple(self.base.mul_int(x, k) for x in a)
@@ -273,21 +283,11 @@ class TruncSeries:
                            {e: ring.mul_int(v, k) for e, v in self.terms.items()})
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
-        ring = self.ring
-        dmax = self.dmax
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > dmax:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                t = ring.mul(c1, c2)
-                if exp in out:
-                    out[exp] = ring.add(out[exp], t)
-                else:
-                    out[exp] = t
-        return TruncSeries(ring, self.nvars, dmax, out)
+        # the kernel returns terms within dmax and nonzero: skip __init__'s filter
+        out = TruncSeries.__new__(TruncSeries)
+        out.ring, out.nvars, out.dmax = self.ring, self.nvars, self.dmax
+        out.terms = _lazy_mul(self.ring, self.nvars, self.dmax, self.terms, other.terms)
+        return out
 
     def pow(self, k: int) -> "TruncSeries":
         result = series_const(self.ring, self.nvars, self.dmax, self.ring.one())
@@ -343,6 +343,52 @@ class TruncSeries:
             "Dmax": self.dmax,
             "terms": [[list(exp), coeff_repr(c)] for exp, c in sorted(self.terms.items())],
         }
+
+
+def _lazy_mul(ring, nvars: int, dmax: int, a: dict, b: dict) -> dict:
+    """Terms of the product of the term dicts a and b, truncated at total degree dmax.
+
+    Equal, coefficient for coefficient, to multiplying every pair of terms
+    with ring.mul and summing with ring.add; see the module docstring.
+    """
+    if not a or not b:
+        return {}
+    if isinstance(ring, UnramRing):
+        return _lazy_combine(ring.ctx, nvars + 1, dmax, [(a, b)])
+    if not isinstance(ring, IntModRing):
+        raise TypeError(f"series products need Z/p^N or unramified coefficients, not {ring!r}")
+    stride = dmax + 1
+
+    def keyed(terms: dict) -> list[tuple[int, int, int]]:
+        # (degree, key, coefficient) of each term; a term above dmax has no
+        # partner within the bisection bound, so its key is never added
+        out = []
+        for exp, c in terms.items():
+            key = 0
+            for x in reversed(exp):
+                key = key * stride + x
+            out.append((sum(exp), key, c))
+        return out
+
+    right = sorted(keyed(b))
+    degs = [d for d, _, _ in right]
+    right = [(k, c) for _, k, c in right]
+    sums: dict[int, int] = defaultdict(int)
+    for d1, k1, c1 in keyed(a):
+        for k2, c2 in right[:bisect_right(degs, dmax - d1)]:
+            sums[k1 + k2] += c1 * c2
+
+    pN = ring.pN
+    out = {}
+    for k, v in sums.items():
+        v %= pN
+        if v:
+            exp = []
+            for _ in range(nvars):
+                k, x = divmod(k, stride)
+                exp.append(x)
+            out[tuple(exp)] = v
+    return out
 
 
 def coeff_repr(c):

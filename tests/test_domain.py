@@ -32,6 +32,8 @@ from padiclt.domain import (
     reach_span,
 )
 from padiclt.padics import frobenius
+from padiclt import linalg
+from padiclt.linalg import divide_by_pivot
 
 CTX2 = make_context(5, 2, 8)
 CTX3 = make_context(3, 3, 8)
@@ -219,6 +221,27 @@ def test_fn_sequence_matches_closed_form():
             assert a.eq(b)
         deg2 = DomainFunc(ctx, 2, 10, {e: c for e, c in f0.terms.items() if sum(e) == 2})
         assert closed[8].eq(deg2)
+
+
+def test_fn_sequence_inverts_once_per_step(monkeypatch):
+    # the old recursion divided every coefficient by n through divide_by_pivot
+    ctx = make_context(3, 2, 8)
+    rng = random.Random(12)
+    terms = {e: ctx.random_element(rng) for e in monomials(2, 10) if sum(e) >= 2}
+    f0 = DomainFunc(ctx, 2, 10, terms).add(domain_monomial(ctx, 2, 10, (2,), ctx.one()))
+    rec = [f0]
+    for n in range(1, 10):
+        prev = rec[-1]
+        combined = prev.scale_int(2 + n - 1).add(prev.scale_int(1).sub(prev.euler()))
+        rec.append(DomainFunc(ctx, 2, 10, {e: divide_by_pivot(c, ctx.from_int(n))
+                                           for e, c in combined.terms.items()}))
+    inversions = []
+    real_inv = linalg.scalar_inv
+    monkeypatch.setattr(linalg, "scalar_inv", lambda a: inversions.append(a) or real_inv(a))
+    got, _ = fn_sequence(f0, 2, 1, 9)
+    assert len(inversions) == 9
+    for a, b in zip(got, rec):
+        _assert_identical(a, b)
 
 
 def test_fn_sequence_rejects_bad_input():

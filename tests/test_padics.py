@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from padiclt.padics import (
     ContextMismatchError,
     NonUnitError,
+    PadicScalar,
     UnramContext,
     frobenius,
     make_context,
@@ -56,6 +57,38 @@ def test_frobenius_fixes_rationals_and_is_multiplicative():
     for _ in range(100):
         a, b = CTX32.random_element(rng), CTX32.random_element(rng)
         assert frobenius(scalar_mul(a, b)) == scalar_mul(frobenius(a), frobenius(b))
+
+
+def _reference_frobenius(a, k):
+    """sigma applied k times, one matrix-vector product per application."""
+    ctx = a.ctx
+    if ctx.e == 1:
+        return a
+    coords = a.coords
+    pn = ctx.p ** a.prec
+    for _ in range(k % ctx.e):
+        out = [0] * ctx.e
+        for j, cj in enumerate(coords):
+            for i in range(ctx.e):
+                out[i] += cj * ctx.frobenius[j][i]
+        coords = tuple(c % pn for c in out)
+    return PadicScalar(ctx, coords, a.prec)
+
+
+@pytest.mark.parametrize("p,e,N", [(3, 4, 8), (2, 3, 6), (5, 2, 4), (7, 3, 3)])
+def test_frobenius_power_matches_repeated_application(p, e, N):
+    # precisions above N included: the cached sigma^k matrix must not be cut
+    # mod p^N there, since the entries of M^k mod p^N and mod p^prec differ
+    ctx = make_context(p, e, N)
+    rng = random.Random(p * e * N)
+    for prec in (1, N - 1, N, N + 3, 2 * N):
+        if prec < 1:
+            continue
+        for _ in range(10):
+            a = ctx.random_element(rng, prec=prec)
+            for k in range(-e - 1, 2 * e + 1):
+                got, want = frobenius(a, k), _reference_frobenius(a, k)
+                assert (got.coords, got.prec) == (want.coords, want.prec), (prec, k)
 
 
 coord_pairs = st.tuples(st.integers(0, 3 ** 8 - 1), st.integers(0, 3 ** 8 - 1))

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padiclt.padics import make_context
+from padiclt.padics import ContextMismatchError, make_context
 from padiclt.series import (
     IntModRing,
     PrecisionLossError,
@@ -12,6 +14,7 @@ from padiclt.series import (
     UnramRing,
     compose_univariate,
     reduce_mod_p,
+    series_const,
     series_from_int_coeffs,
     series_var,
     substitute_two,
@@ -189,3 +192,195 @@ def test_series_json():
     f = series_from_int_coeffs(R, {1: 2, 4: 5}, 6)
     d = f.to_json()
     assert d["vars"] == 1 and d["Dmax"] == 6 and [[4], 5] in d["terms"]
+
+
+# -- the lazy product kernel against the per-pair loop it replaced ---------
+
+def _reference_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    """The old TruncSeries.mul: one ring.mul and ring.add per pair of terms."""
+    ring = f.ring
+    dmax = f.dmax
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        d1 = sum(e1)
+        for e2, c2 in g.terms.items():
+            if d1 + sum(e2) > dmax:
+                continue
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            t = ring.mul(c1, c2)
+            if exp in out:
+                out[exp] = ring.add(out[exp], t)
+            else:
+                out[exp] = t
+    return TruncSeries(ring, f.nvars, dmax, out)
+
+
+def _reference_quot_mul(ring: QuotRing, a, b):
+    """The old QuotRing.mul: schoolbook product, then reduction mod Phi."""
+    pN, deg, phi = ring.base.pN, ring.deg, ring.phi
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % pN
+    for d in range(len(prod) - 1, deg - 1, -1):
+        c = prod[d]
+        if c:
+            prod[d] = 0
+            for k in range(deg):
+                prod[d - deg + k] = (prod[d - deg + k] - c * phi[k]) % pN
+    return tuple(prod[:deg])
+
+
+def _key(c):
+    return (c.coords, c.prec) if hasattr(c, "coords") else c
+
+
+def _assert_identical(a: TruncSeries, b: TruncSeries) -> None:
+    assert (a.nvars, a.dmax) == (b.nvars, b.dmax)
+    assert set(a.terms) == set(b.terms)
+    for exp, c in a.terms.items():
+        assert _key(c) == _key(b.terms[exp]), exp
+
+
+def _ring(kind: str, p: int, rng):
+    N = rng.randint(1, 6)
+    if kind == "int":
+        return IntModRing(p, N), lambda: rng.randrange(-p ** N, 2 * p ** N)
+    ctx = make_context(p, rng.randint(1, 3), N)
+    return UnramRing(ctx), lambda: ctx.random_element(rng, prec=rng.randint(1, N))
+
+
+def _random_series(ring, draw, nvars, dmax, nterms, rng) -> TruncSeries:
+    terms = {tuple(rng.randint(0, dmax + 1) for _ in range(nvars)): draw()
+             for _ in range(nterms)}
+    return TruncSeries(ring, nvars, dmax, terms)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from(["int", "unram"]), st.sampled_from([2, 3, 5, 7]),
+       st.integers(1, 3), st.integers(0, 5), st.integers(0, 3),
+       st.integers(0, 9), st.integers(0, 9), st.integers(0, 10 ** 6))
+def test_mul_matches_reference_hypothesis(kind, p, nvars, dmax, extra, na, nb, seed):
+    rng = random.Random(seed)
+    ring, draw = _ring(kind, p, rng)
+    f = _random_series(ring, draw, nvars, dmax, na, rng)
+    # g may have a larger Dmax, so it carries terms above f's bound
+    g = _random_series(ring, draw, nvars, dmax + extra, nb, rng)
+    _assert_identical(f.mul(g), _reference_mul(f, g))
+    _assert_identical(g.mul(f), _reference_mul(g, f))
+
+
+def test_mul_empty_operands_and_dmax_zero():
+    rng = random.Random(3)
+    for kind in ("int", "unram"):
+        ring, draw = _ring(kind, 3, rng)
+        f = _random_series(ring, draw, 2, 4, 6, rng)
+        empty = TruncSeries(ring, 2, 4)
+        assert f.mul(empty).is_zero() and empty.mul(f).is_zero()
+        a, b = series_const(ring, 2, 0, draw()), _random_series(ring, draw, 2, 0, 3, rng)
+        _assert_identical(a.mul(b), _reference_mul(a, b))
+        assert set(a.mul(b).terms) <= {(0, 0)}
+
+
+def test_mul_drops_cancelled_terms():
+    ring = IntModRing(3, 4)
+    x = series_var(ring, 1, 6, 0)
+    one = series_const(ring, 1, 6, 1)
+    # (1 + X)(1 - X) = 1 - X^2 and 9X * 9 = 81X = 0 mod 3^4
+    assert set(one.add(x).mul(one.sub(x)).terms) == {(0,), (2,)}
+    assert x.scale_int(9).mul(series_const(ring, 1, 6, 9)).is_zero()
+
+
+def test_mul_unram_mixed_precision():
+    ctx = make_context(5, 2, 8)
+    ring = UnramRing(ctx)
+    x = series_var(ring, 1, 4, 0)
+    # 5^5 (prec 6) * 5^3: the product is 0 at precision 6 and still lowers
+    # the X coefficient's precision to 6, as the per-pair loop did
+    a = series_const(ring, 1, 4, ctx.from_int(5 ** 5, prec=6))
+    b = series_const(ring, 1, 4, ctx.from_int(5 ** 3)).add(x)
+    prod = a.mul(b)
+    _assert_identical(prod, _reference_mul(a, b))
+    assert set(prod.terms) == {(1,)} and prod.terms[(1,)].prec == 6
+    # products at precisions 3 and 8 landing on one monomial sum at precision 3
+    f = TruncSeries(ring, 1, 4, {(0,): ctx.from_int(7, prec=3), (1,): ctx.from_int(2)})
+    g = TruncSeries(ring, 1, 4, {(0,): ctx.from_int(4), (1,): ctx.from_int(9)})
+    prod = f.mul(g)
+    _assert_identical(prod, _reference_mul(f, g))
+    assert prod.terms[(1,)].prec == 3 and prod.terms[(0,)].prec == 3
+    rng = random.Random(4)
+    for _ in range(20):
+        f = _random_series(ring, lambda: ctx.random_element(rng, prec=rng.randint(1, 8)),
+                           2, 5, 8, rng)
+        g = _random_series(ring, lambda: ctx.random_element(rng, prec=rng.randint(1, 8)),
+                           2, 5, 8, rng)
+        _assert_identical(f.mul(g), _reference_mul(f, g))
+
+
+def test_mul_rejects_mixed_contexts_and_other_rings():
+    ring = UnramRing(make_context(3, 2, 6))
+    other = UnramRing(make_context(5, 2, 6))
+    with pytest.raises(ContextMismatchError):
+        series_var(ring, 1, 3, 0).mul(series_var(other, 1, 3, 0))
+    quot = QuotRing(IntModRing(3, 4), [1, 0, 1])
+    x = TruncSeries(quot, 1, 3, {(1,): quot.one()})
+    with pytest.raises(TypeError):
+        x.mul(x)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 10 ** 6))
+def test_quot_ring_mul_matches_reference(p, N, deg, seed):
+    rng = random.Random(seed)
+    pN = p ** N
+    ring = QuotRing(IntModRing(p, N), [rng.randrange(pN) for _ in range(deg)] + [1])
+    for _ in range(10):
+        a = tuple(rng.randrange(pN) for _ in range(deg))
+        b = tuple(rng.randrange(pN) for _ in range(deg))
+        assert ring.mul(a, b) == _reference_quot_mul(ring, a, b)
+
+
+# -- the truncated Lubin-Tate induction against the full-Dmax one ----------
+
+def _reference_step(f_series, cur, n, two_var, ring):
+    """The old correction step: E composed at the full Dmax of cur."""
+    if two_var:
+        fX = TruncSeries(ring, 2, cur.dmax, {(e[0], 0): c for e, c in f_series.terms.items()})
+        fY = TruncSeries(ring, 2, cur.dmax, {(0, e[0]): c for e, c in f_series.terms.items()})
+        err = compose_univariate(f_series, cur).sub(substitute_two(cur, fX, fY))
+    else:
+        err = compose_univariate(f_series, cur).sub(compose_univariate(cur, f_series))
+    denom = ring.p ** n - ring.p
+    return TruncSeries(ring, cur.nvars, cur.dmax,
+                       {e: ring.divexact_int(c, denom)
+                        for e, c in err.terms.items() if sum(e) == n})
+
+
+def _reference_lt(p, f_coeffs, dmax, N, mults):
+    work = IntModRing(p, N + dmax)
+    public = IntModRing(p, N)
+    f = series_from_int_coeffs(work, f_coeffs, dmax)
+    F = TruncSeries(work, 2, dmax, {(1, 0): 1, (0, 1): 1})
+    for n in range(2, dmax + 1):
+        F = F.add(_reference_step(f, F, n, True, work))
+    out = {}
+    for a in mults:
+        cur = TruncSeries(work, 1, dmax, {(1,): work.from_int(a)})
+        for n in range(2, dmax + 1):
+            cur = cur.add(_reference_step(f, cur, n, False, work))
+        out[a] = cur.map_coefficients(public.from_int, public)
+    return F, F.map_coefficients(public.from_int, public), out
+
+
+@pytest.mark.parametrize("p,fdict,dmax", [(2, {1: 2, 2: 1}, 10), (3, {1: 3, 9: 1}, 11),
+                                          (7, {1: 7, 7: 1}, 14)])
+def test_lt_construct_matches_full_dmax_induction(p, fdict, dmax):
+    mults = (2, -1, p + 1)
+    F_work, F_pub, ref = _reference_lt(p, fdict, dmax, 6, mults)
+    M = lt_construct(p, fdict, dmax, 6)
+    _assert_identical(M.F, F_pub)
+    _assert_identical(M.work_series()[1], F_work)
+    for a in mults:
+        _assert_identical(M.mult(a), ref[a])
