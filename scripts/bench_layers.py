@@ -21,6 +21,10 @@ threshold and fails on no figure.
     linalg.kernel_basis     the system of operator_kernel for x_01, x_02 at
                             (p, h, N) = (3, 3, 8), Dmax=8 (criterion 12's n-row kernel)
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
+    domain.lie_act          all 16 operators x_ij on a dense random section of twist 2,
+                            (p, h, N) = (3, 4, 8), Dmax=7
+    divalg.nrd              20 reduced norms of random units, (p, h, N) = (3, 4, 8)
+    divalg.div_inv          20 inverses of random units, (p, h, N) = (3, 4, 8)
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from padiclt import domain  # noqa: E402
-from padiclt.divalg import sample_gamma  # noqa: E402
+from padiclt.divalg import div_inv, nrd, sample_gamma  # noqa: E402
 from padiclt.formal import lt_construct  # noqa: E402
 from padiclt.linalg import kernel_basis  # noqa: E402
 from padiclt.padics import frobenius, make_context  # noqa: E402
@@ -98,6 +102,28 @@ def _frobenius():
     return run
 
 
+def _lie_act():
+    ctx = make_context(3, 4, 8)
+    x = domain.Section(domain.random_domain_func(ctx, 4, 7, random.Random(3)), 2)
+    return lambda: [domain.lie_act(i, j, x) for i in range(4) for j in range(4)]
+
+
+def _units():
+    ctx = make_context(3, 4, 8)
+    rng = random.Random(4)
+    return [sample_gamma(ctx, 0, rng) for _ in range(20)]
+
+
+def _nrd():
+    units = _units()
+    return lambda: [nrd(a) for a in units]
+
+
+def _div_inv():
+    units = _units()
+    return lambda: [div_inv(a) for a in units]
+
+
 LAYERS = {
     "series.TruncSeries.mul": _truncseries_mul,
     "formal.lt_construct": _lt_construct,
@@ -105,6 +131,9 @@ LAYERS = {
     "domain.gamma_act": _gamma_act,
     "linalg.kernel_basis": _kernel_basis,
     "padics.frobenius": _frobenius,
+    "domain.lie_act": _lie_act,
+    "divalg.nrd": _nrd,
+    "divalg.div_inv": _div_inv,
 }
 
 

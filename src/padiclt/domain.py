@@ -37,6 +37,13 @@ where n is the least min(qa, qb) over the pairs that reached it.  This is
 exactly what reducing every product and summing at min precision gives:
 reduction by the monic Phi is Z-linear, and p^n divides p^m for n <= m, so
 reducing at the end loses nothing the per-product reductions kept.
+
+Each Lie operator is one monomial map: the (i,j) matrix unit (w_0 := 1) sends
+w^a to k w^(a - e_j + e_i), k = a_j for j != 0 and k = s - |a| for j = 0 (s
+the twist).  lie_act scales each coefficient by k at its own precision and
+drops what is 0 there or, for i != 0 = j, lands above Dmax.  That is exactly
+the composition of d/dw_j, w_i * and s f - sum_l w_l df/dw_l: s c and |a| c
+have the precision of c, so s c - |a| c is (s - |a|) c whichever was 0.
 """
 
 from __future__ import annotations
@@ -103,9 +110,6 @@ class DomainFunc:
     def __repr__(self):
         return f"DomainFunc(h={self.h}, {len(self.terms)} terms, dmax={self.dmax})"
 
-    def copy(self) -> "DomainFunc":
-        return DomainFunc(self.ctx, self.h, self.dmax, dict(self.terms))
-
     def is_zero_at_precision(self) -> bool:
         return not self.terms
 
@@ -120,20 +124,30 @@ class DomainFunc:
         return all(self.coeff(k) == other.coeff(k) for k in keys)
 
     def add(self, other: "DomainFunc") -> "DomainFunc":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = scalar_add(out[e], c) if e in out else c
-        return DomainFunc(self.ctx, self.h, self.dmax, out)
+        return self._combine(other, scalar_add, None)
 
     def sub(self, other: "DomainFunc") -> "DomainFunc":
+        return self._combine(other, scalar_sub, scalar_neg)
+
+    def _combine(self, other: "DomainFunc", op, unmatched) -> "DomainFunc":
+        # both operands hold only nonzero terms within their Dmax: drop just
+        # the sums that cancel and the terms of other above self.dmax
         out = dict(self.terms)
+        dmax = self.dmax
         for e, c in other.terms.items():
-            out[e] = scalar_sub(out[e], c) if e in out else scalar_neg(c)
-        return DomainFunc(self.ctx, self.h, self.dmax, out)
+            if e in out:
+                c = op(out[e], c)
+                if any(c.coords):
+                    out[e] = c
+                else:
+                    del out[e]
+            elif other.dmax <= dmax or sum(e) <= dmax:
+                out[e] = unmatched(c) if unmatched else c
+        return _prefiltered(self.ctx, self.h, dmax, out)
 
     def neg(self) -> "DomainFunc":
-        return DomainFunc(self.ctx, self.h, self.dmax,
-                          {e: scalar_neg(c) for e, c in self.terms.items()})
+        return _prefiltered(self.ctx, self.h, self.dmax,
+                            {e: scalar_neg(c) for e, c in self.terms.items()})
 
     def scale(self, c: PadicScalar) -> "DomainFunc":
         return DomainFunc(self.ctx, self.h, self.dmax,
@@ -144,7 +158,7 @@ class DomainFunc:
                           {e: scalar_mul_int(v, k) for e, v in self.terms.items()})
 
     def mul(self, other: "DomainFunc") -> "DomainFunc":
-        return DomainFunc(self.ctx, self.h, self.dmax, _lazy_combine(
+        return _prefiltered(self.ctx, self.h, self.dmax, _lazy_combine(
             self.ctx, self.h, self.dmax, [(self.terms, other.terms)]))
 
     def pow(self, k: int) -> "DomainFunc":
@@ -157,33 +171,6 @@ class DomainFunc:
             if k:
                 base = base.mul(base)
         return result
-
-    def partial(self, j: int) -> "DomainFunc":
-        """d/dw_j for 1 <= j <= h-1."""
-        out = {}
-        for e, c in self.terms.items():
-            n = e[j - 1]
-            if n:
-                ne = list(e)
-                ne[j - 1] = n - 1
-                out[tuple(ne)] = scalar_mul_int(c, n)
-        return DomainFunc(self.ctx, self.h, self.dmax, out)
-
-    def mul_var(self, i: int) -> "DomainFunc":
-        """Multiplication by w_i (1 <= i <= h-1); degree overflow truncates."""
-        out = {}
-        for e, c in self.terms.items():
-            if sum(e) + 1 > self.dmax:
-                continue
-            ne = list(e)
-            ne[i - 1] += 1
-            out[tuple(ne)] = c
-        return DomainFunc(self.ctx, self.h, self.dmax, out)
-
-    def euler(self) -> "DomainFunc":
-        """sum_l w_l d/dw_l, the degree operator."""
-        return DomainFunc(self.ctx, self.h, self.dmax,
-                          {e: scalar_mul_int(c, sum(e)) for e, c in self.terms.items()})
 
     def scale_down(self, k: int) -> "DomainFunc":
         """Exact division of every coefficient by p^k."""
@@ -329,6 +316,14 @@ def _lazy_combine(ctx: UnramContext, h: int, dmax: int,
     return out
 
 
+def _prefiltered(ctx: UnramContext, h: int, dmax: int, terms: dict) -> DomainFunc:
+    """A DomainFunc holding `terms` itself, without the filter of __init__:
+    every exponent must be within dmax and every coefficient nonzero."""
+    f = DomainFunc.__new__(DomainFunc)
+    f.ctx, f.h, f.dmax, f.terms = ctx, h, dmax, terms
+    return f
+
+
 def domain_const(ctx, h, dmax, c: PadicScalar) -> DomainFunc:
     return DomainFunc(ctx, h, dmax, {(0,) * (h - 1): c})
 
@@ -350,10 +345,6 @@ def random_domain_func(ctx, h, dmax, rng, ensure_nonzero=True) -> DomainFunc:
     while ensure_nonzero and f.is_zero_at_precision():
         f = random_domain_func(ctx, h, dmax, rng, False)
     return f
-
-
-def gauss_valuation(f: DomainFunc) -> int:
-    return f.gauss_valuation()
 
 
 @dataclass
@@ -453,7 +444,7 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
             if a:
                 term = pows[i][a] if term is one else term.mul(pows[i][a])
         pairs.append(({const: c}, term.terms))
-    return DomainFunc(ctx, h, dmax, _lazy_combine(ctx, h, dmax, pairs))
+    return _prefiltered(ctx, h, dmax, _lazy_combine(ctx, h, dmax, pairs))
 
 
 def _gamma_weights(gamma: DivElem, h: int, ctx, dmax: int):
@@ -579,17 +570,26 @@ def lie_act(i: int, j: int, x: Section) -> Section:
         j != 0   : w_i * df/dw_j
         i = j = 0: s f - sum_l w_l df/dw_l
         i > j = 0: w_i * (s f - sum_l w_l df/dw_l)
+
+    computed as one monomial map (see the module docstring).
     """
     f, s = x.func, x.twist
-    if j != 0:
-        g = f.partial(j)
-        if i != 0:
-            g = g.mul_var(i)
-    else:
-        g = f.scale_int(s).sub(f.euler())
-        if i != 0:
-            g = g.mul_var(i)
-    return Section(g, s)
+    ctx, dmax = f.ctx, f.dmax
+    out = {}
+    for a, c in f.terms.items():
+        k = a[j - 1] if j else s - sum(a)
+        if not k or (i and not j and sum(a) >= dmax):
+            continue
+        pn = ctx.p ** c.prec
+        coords = tuple([v * k % pn for v in c.coords])
+        if any(coords):
+            b = list(a)
+            if j:
+                b[j - 1] -= 1
+            if i:
+                b[i - 1] += 1
+            out[tuple(b)] = PadicScalar(ctx, coords, c.prec)
+    return Section(_prefiltered(ctx, f.h, dmax, out), s)
 
 
 def lie_derived_operator(delta: DivElem, x: Section) -> Section:
@@ -643,7 +643,7 @@ def fn_sequence(f0: DomainFunc, d: int, s: int, nmax: int
     rec = [f0]
     for n in range(1, nmax + 1):
         prev = rec[-1]
-        x00 = prev.scale_int(s).sub(prev.euler())
+        x00 = lie_act(0, 0, Section(prev, s)).func
         combined = prev.scale_int(d + n - s).add(x00)
         divided = {}
         if combined.terms:  # n may be 0 at precision; only a division can fail on it

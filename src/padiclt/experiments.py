@@ -507,6 +507,9 @@ def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
+    if cfg.h < 2:
+        raise ConfigInvalidError(
+            "reachability needs h >= 2: its seed monomials need a coordinate w_1")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     dmax = 8

@@ -251,26 +251,31 @@ class TruncSeries:
         return all(self.ring.eq(self.coeff(k), other.coeff(k)) for k in keys)
 
     def add(self, other: "TruncSeries") -> "TruncSeries":
-        out = dict(self.terms)
-        ring = self.ring
-        for exp, c in other.terms.items():
-            if exp in out:
-                s = ring.add(out[exp], c)
-                if ring.is_zero(s):
-                    del out[exp]
-                else:
-                    out[exp] = s
-            else:
-                out[exp] = c
-        return TruncSeries(ring, self.nvars, self.dmax, out)
+        return self._combine(other, self.ring.add, None)
 
     def sub(self, other: "TruncSeries") -> "TruncSeries":
-        return self.add(other.neg())
+        return self._combine(other, self.ring.sub, self.ring.neg)
+
+    def _combine(self, other: "TruncSeries", op, unmatched) -> "TruncSeries":
+        # both operands hold only nonzero terms within their Dmax: drop just
+        # the sums that cancel and the terms of other above self.dmax
+        ring, dmax = self.ring, self.dmax
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            if exp in out:
+                c = op(out[exp], c)
+                if ring.is_zero(c):
+                    del out[exp]
+                else:
+                    out[exp] = c
+            elif other.dmax <= dmax or sum(exp) <= dmax:
+                out[exp] = unmatched(c) if unmatched else c
+        return _prefiltered(ring, self.nvars, dmax, out)
 
     def neg(self) -> "TruncSeries":
         ring = self.ring
-        return TruncSeries(ring, self.nvars, self.dmax,
-                           {e: ring.neg(c) for e, c in self.terms.items()})
+        return _prefiltered(ring, self.nvars, self.dmax,
+                            {e: ring.neg(c) for e, c in self.terms.items()})
 
     def scale(self, c) -> "TruncSeries":
         ring = self.ring
@@ -283,11 +288,8 @@ class TruncSeries:
                            {e: ring.mul_int(v, k) for e, v in self.terms.items()})
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
-        # the kernel returns terms within dmax and nonzero: skip __init__'s filter
-        out = TruncSeries.__new__(TruncSeries)
-        out.ring, out.nvars, out.dmax = self.ring, self.nvars, self.dmax
-        out.terms = _lazy_mul(self.ring, self.nvars, self.dmax, self.terms, other.terms)
-        return out
+        return _prefiltered(self.ring, self.nvars, self.dmax,
+                            _lazy_mul(self.ring, self.nvars, self.dmax, self.terms, other.terms))
 
     def pow(self, k: int) -> "TruncSeries":
         result = series_const(self.ring, self.nvars, self.dmax, self.ring.one())
@@ -343,6 +345,14 @@ class TruncSeries:
             "Dmax": self.dmax,
             "terms": [[list(exp), coeff_repr(c)] for exp, c in sorted(self.terms.items())],
         }
+
+
+def _prefiltered(ring, nvars: int, dmax: int, terms: dict) -> TruncSeries:
+    """A TruncSeries holding `terms` itself, without the filter of __init__:
+    every exponent must be within dmax and every coefficient nonzero."""
+    f = TruncSeries.__new__(TruncSeries)
+    f.ring, f.nvars, f.dmax, f.terms = ring, nvars, dmax, terms
+    return f
 
 
 def _lazy_mul(ring, nvars: int, dmax: int, a: dict, b: dict) -> dict:

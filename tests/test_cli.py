@@ -40,6 +40,10 @@ def test_invalid_config_exits_2(tmp_path):
         run(ExperimentConfig("height", p="5"))
     with pytest.raises(ConfigInvalidError):
         run(ExperimentConfig(["height"]))
+    # reachability's seeds need a domain coordinate
+    assert main(["run", "reachability", "--h", "1"]) == 2
+    with pytest.raises(ConfigInvalidError):
+        run(ExperimentConfig("reachability", h=1))
 
 
 def test_zero_trial_checks_fail(capsys):

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclt.padics import make_context, scalar_add, scalar_inv, scalar_mul, scalar_sub
+from padiclt.padics import (
+    make_context,
+    scalar_add,
+    scalar_inv,
+    scalar_mul,
+    scalar_mul_int,
+    scalar_neg,
+    scalar_sub,
+)
 from padiclt.divalg import div_from_scalar, div_mul, div_one, j_embed, sample_gamma, sample_obh
 from padiclt.domain import (
     DomainFunc,
@@ -232,7 +240,7 @@ def test_fn_sequence_inverts_once_per_step(monkeypatch):
     rec = [f0]
     for n in range(1, 10):
         prev = rec[-1]
-        combined = prev.scale_int(2 + n - 1).add(prev.scale_int(1).sub(prev.euler()))
+        combined = prev.scale_int(2 + n - 1).add(prev.scale_int(1).sub(_reference_euler(prev)))
         rec.append(DomainFunc(ctx, 2, 10, {e: divide_by_pivot(c, ctx.from_int(n))
                                            for e, c in combined.terms.items()}))
     inversions = []
@@ -486,3 +494,187 @@ def test_monomials_match_filtered_product():
 
 def test_monomials_count_without_enumerating_the_cube():
     assert len(monomials(8, 6)) == math.comb(13, 7)
+
+
+# --- the one-pass Lie operator and linear ops against the old compositions ---
+
+def _reference_partial(f: DomainFunc, j: int) -> DomainFunc:
+    """d/dw_j for 1 <= j <= h-1."""
+    out = {}
+    for e, c in f.terms.items():
+        n = e[j - 1]
+        if n:
+            ne = list(e)
+            ne[j - 1] = n - 1
+            out[tuple(ne)] = scalar_mul_int(c, n)
+    return DomainFunc(f.ctx, f.h, f.dmax, out)
+
+
+def _reference_mul_var(f: DomainFunc, i: int) -> DomainFunc:
+    """Multiplication by w_i (1 <= i <= h-1); degree overflow truncates."""
+    out = {}
+    for e, c in f.terms.items():
+        if sum(e) + 1 > f.dmax:
+            continue
+        ne = list(e)
+        ne[i - 1] += 1
+        out[tuple(ne)] = c
+    return DomainFunc(f.ctx, f.h, f.dmax, out)
+
+
+def _reference_euler(f: DomainFunc) -> DomainFunc:
+    """sum_l w_l d/dw_l, the degree operator."""
+    return DomainFunc(f.ctx, f.h, f.dmax,
+                      {e: scalar_mul_int(c, sum(e)) for e, c in f.terms.items()})
+
+
+def _reference_add(f: DomainFunc, g: DomainFunc) -> DomainFunc:
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = scalar_add(out[e], c) if e in out else c
+    return DomainFunc(f.ctx, f.h, f.dmax, out)
+
+
+def _reference_sub(f: DomainFunc, g: DomainFunc) -> DomainFunc:
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = scalar_sub(out[e], c) if e in out else scalar_neg(c)
+    return DomainFunc(f.ctx, f.h, f.dmax, out)
+
+
+def _reference_neg(f: DomainFunc) -> DomainFunc:
+    return DomainFunc(f.ctx, f.h, f.dmax, {e: scalar_neg(c) for e, c in f.terms.items()})
+
+
+def _reference_lie_act(i: int, j: int, x: Section) -> Section:
+    """The (i,j) operator as d/dw_j or s f - euler f, then w_i *."""
+    f, s = x.func, x.twist
+    g = _reference_partial(f, j) if j else _reference_sub(f.scale_int(s), _reference_euler(f))
+    return Section(_reference_mul_var(g, i) if i else g, s)
+
+
+def _assert_lie_matches_reference(x: Section) -> None:
+    h = x.func.h
+    for i in range(h):
+        for j in range(h):
+            got, want = lie_act(i, j, x), _reference_lie_act(i, j, x)
+            assert got.twist == want.twist == x.twist
+            assert got.func.dmax == want.func.dmax
+            _assert_identical(got.func, want.func)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 4), st.integers(0, 5),
+       st.integers(-4, 6), st.integers(0, 10 ** 6), st.booleans())
+def test_lie_act_matches_reference_hypothesis(p, h, dmax, s, seed, mixed):
+    ctx = make_context(p, h, 4)
+    rng = random.Random(seed)
+    f = random_domain_func(ctx, h, dmax, rng, ensure_nonzero=False)
+    if mixed:
+        f = _mixed_precision(f, rng, 1)
+    _assert_lie_matches_reference(Section(f, s))
+
+
+def test_lie_act_zero_multiplier_s_equals_degree():
+    # s = |a| kills w^a under x_00 and x_i0; the other terms stay
+    ctx = CTX3
+    f = DomainFunc(ctx, 3, 6, {(2, 1): ctx.from_int(7), (1, 0): ctx.from_int(2)})
+    x = Section(f, 3)
+    _assert_lie_matches_reference(x)
+    assert set(lie_act(0, 0, x).func.terms) == {(1, 0)}
+    assert set(lie_act(2, 0, x).func.terms) == {(1, 1)}
+    assert lie_act(0, 0, monomial_section(ctx, 3, 6, (1, 2), 3)).is_zero_at_precision()
+
+
+def test_lie_act_multiplier_divisible_by_p_power_of_precision():
+    # a_1 = 5 kills a coefficient at precision 1 mod 5; at precision 3 the
+    # result is 5 c at precision 3
+    ctx = CTX2
+    lo, hi = ctx.from_int(2, prec=1), ctx.from_int(2, prec=3)
+    for c, survives in ((lo, False), (hi, True)):
+        x = Section(DomainFunc(ctx, 2, 6, {(5,): c}), 0)
+        _assert_lie_matches_reference(x)
+        out = lie_act(0, 1, x).func
+        assert bool(out.terms) == survives
+        if survives:
+            assert out.terms[(4,)].key() == ((10, 0), 3)
+    # j = 0: s - |a| = 25 vanishes at precision 2, not at precision 3
+    for prec, survives in ((2, False), (3, True)):
+        x = Section(DomainFunc(ctx, 2, 6, {(1,): ctx.from_int(1, prec=prec)}), 26)
+        _assert_lie_matches_reference(x)
+        assert bool(lie_act(0, 0, x).func.terms) == survives
+        assert bool(lie_act(1, 0, x).func.terms) == survives
+
+
+def test_lie_act_truncates_raising_a_degree_dmax_term():
+    ctx = CTX3
+    f = DomainFunc(ctx, 3, 4, {(3, 1): ctx.from_int(1), (1, 0): ctx.from_int(1)})
+    x = Section(f, 1)
+    _assert_lie_matches_reference(x)
+    # x_10 and x_20 raise the degree: the degree-4 term leaves the budget
+    assert set(lie_act(1, 0, x).func.terms) == set()  # s - |a| = 0 on w_1
+    assert set(lie_act(1, 0, Section(f, 0)).func.terms) == {(2, 0)}
+    # x_12 keeps the degree: the degree-4 term stays
+    assert set(lie_act(1, 2, x).func.terms) == {(4, 0)}
+
+
+def test_lie_act_negative_twist():
+    ctx = CTX3
+    rng = random.Random(31)
+    f = random_domain_func(ctx, 3, 5, rng)
+    for s in (-1, -3, -7):
+        x = Section(f, s)
+        _assert_lie_matches_reference(x)
+        out = lie_act(0, 0, x).func
+        for e, c in f.terms.items():
+            assert out.terms[e].key() == scalar_mul_int(c, s - sum(e)).key()
+
+
+def _assert_linear_ops_match(f: DomainFunc, g: DomainFunc) -> None:
+    for got, want in ((f.add(g), _reference_add(f, g)), (f.sub(g), _reference_sub(f, g)),
+                      (f.neg(), _reference_neg(f))):
+        assert got.dmax == want.dmax == f.dmax
+        _assert_identical(got, want)
+        assert all(sum(e) <= f.dmax and not c.is_zero_at_precision()
+                   for e, c in got.terms.items())
+
+
+def test_linear_ops_cancel_to_zero():
+    rng = random.Random(32)
+    f = _mixed_precision(random_domain_func(CTX3, 3, 4, rng), rng, 1)
+    _assert_linear_ops_match(f, f)
+    _assert_linear_ops_match(f, f.neg())
+    assert f.sub(f).is_zero_at_precision() and f.add(f.neg()).is_zero_at_precision()
+    # 5 at precision 2 plus 20 is 0 mod 25: the sum is dropped
+    a = DomainFunc(CTX2, 2, 4, {(1,): CTX2.from_int(5, prec=2), (0,): CTX2.one()})
+    b = DomainFunc(CTX2, 2, 4, {(1,): CTX2.from_int(20)})
+    _assert_linear_ops_match(a, b)
+    assert set(a.add(b).terms) == {(0,)}
+
+
+def test_linear_ops_with_a_wider_operand():
+    rng = random.Random(33)
+    f = random_domain_func(CTX3, 3, 3, rng)
+    g = random_domain_func(CTX3, 3, 6, rng)
+    _assert_linear_ops_match(f, g)  # g's terms above degree 3 are dropped
+    _assert_linear_ops_match(g, f)
+    assert max(sum(e) for e in f.add(g).terms) <= 3
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([(2, 2, 6), (3, 3, 4), (5, 2, 8)]), st.integers(0, 5),
+       st.integers(0, 5), st.integers(0, 10 ** 6), st.booleans())
+def test_linear_ops_match_reference_hypothesis(params, dmax_f, dmax_g, seed, mixed):
+    ctx = make_context(*params)
+    h = params[1]
+    rng = random.Random(seed)
+    f = random_domain_func(ctx, h, dmax_f, rng, ensure_nonzero=False)
+    g = random_domain_func(ctx, h, dmax_g, rng, ensure_nonzero=False)
+    if mixed:
+        f, g = _mixed_precision(f, rng, 1), _mixed_precision(g, rng, 1)
+    # share monomials with equal or opposite coefficients, so sums cancel
+    shared = list(f.terms.items())
+    shared = shared[::3] + [(e, scalar_neg(c)) for e, c in shared[1::3]]
+    g = DomainFunc(ctx, h, dmax_g, {**g.terms, **dict(shared)})
+    _assert_linear_ops_match(f, g)
+    _assert_linear_ops_match(g, f)

@@ -271,6 +271,70 @@ def test_mul_matches_reference_hypothesis(kind, p, nvars, dmax, extra, na, nb, s
     _assert_identical(g.mul(f), _reference_mul(g, f))
 
 
+def _reference_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    """The old TruncSeries.add: the cancelled sums dropped, then __init__'s filter."""
+    out = dict(f.terms)
+    ring = f.ring
+    for exp, c in g.terms.items():
+        if exp in out:
+            s = ring.add(out[exp], c)
+            if ring.is_zero(s):
+                del out[exp]
+            else:
+                out[exp] = s
+        else:
+            out[exp] = c
+    return TruncSeries(ring, f.nvars, f.dmax, out)
+
+
+def _reference_neg(f: TruncSeries) -> TruncSeries:
+    return TruncSeries(f.ring, f.nvars, f.dmax, {e: f.ring.neg(c) for e, c in f.terms.items()})
+
+
+def _assert_linear_ops_match(f: TruncSeries, g: TruncSeries) -> None:
+    for got, want in ((f.add(g), _reference_add(f, g)),
+                      (f.sub(g), _reference_add(f, _reference_neg(g))),
+                      (f.neg(), _reference_neg(f))):
+        _assert_identical(got, want)
+        assert all(sum(e) <= f.dmax and not f.ring.is_zero(c) for e, c in got.terms.items())
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from(["int", "unram", "quot"]), st.sampled_from([2, 3, 5]),
+       st.integers(1, 3), st.integers(0, 5), st.integers(-2, 3),
+       st.integers(0, 9), st.integers(0, 9), st.integers(0, 10 ** 6))
+def test_linear_ops_match_reference_hypothesis(kind, p, nvars, dmax, extra, na, nb, seed):
+    rng = random.Random(seed)
+    if kind == "quot":
+        ring = QuotRing(IntModRing(p, 3), [rng.randrange(p ** 3) for _ in range(2)] + [1])
+        draw = lambda: tuple(rng.randrange(-p ** 3, 2 * p ** 3) for _ in range(2))  # noqa: E731
+    else:
+        ring, draw = _ring(kind, p, rng)
+    f = _random_series(ring, draw, nvars, dmax, na, rng)
+    # g's Dmax may be above or below f's; some shared monomials cancel
+    g = _random_series(ring, draw, nvars, max(dmax + extra, 0), nb, rng)
+    shared = list(f.terms.items())
+    g.terms.update({e: c for e, c in shared[::3] if sum(e) <= g.dmax})
+    g.terms.update({e: ring.neg(c) for e, c in shared[1::3] if sum(e) <= g.dmax})
+    _assert_linear_ops_match(f, g)
+    _assert_linear_ops_match(g, f)
+
+
+def test_linear_ops_cancel_and_truncate():
+    ring = IntModRing(3, 4)
+    x = series_var(ring, 1, 6, 0)
+    f = series_const(ring, 1, 6, 1).add(x.scale_int(5))
+    assert f.sub(f).is_zero() and f.add(f.neg()).is_zero()
+    # 27 + 54 = 81 = 0 mod 3^4: the X coefficient cancels
+    a, b = x.scale_int(27).add(series_const(ring, 1, 6, 1)), x.scale_int(54)
+    _assert_linear_ops_match(a, b)
+    assert set(a.add(b).terms) == {(0,)}
+    # terms of a wider operand above the left Dmax are dropped
+    wide = series_var(ring, 1, 9, 0).pow(8).add(series_var(ring, 1, 9, 0))
+    _assert_linear_ops_match(a, wide)
+    assert set(a.add(wide).terms) == {(0,), (1,)} and set(a.sub(wide).terms) == {(0,), (1,)}
+
+
 def test_mul_empty_operands_and_dmax_zero():
     rng = random.Random(3)
     for kind in ("int", "unram"):
