@@ -17,26 +17,12 @@ which is exactly right multiplication of the row (1, w_1, ..., w_{h-1}) by
 the embedded matrix.  Sections carry a twist s and transform with the
 extra factor den^s.
 
-Products of functions go through one kernel, _lazy_combine, which computes
-sum_k F_k * G_k over a list of pairs without building a scalar per
-coefficient product.  A coefficient's e coordinates c_0..c_{e-1} are packed
-into one Python int sum c_i 2^(i W); the product of two packed ints then
-holds the 2e-1 coordinates of the unreduced polynomial product in x, one per
-W-bit slot.  Coordinates are reduced, so every slot of one product is below
-e p^(qa+qb), where qa and qb bound the precisions of the two factors; a call
-that forms P coefficient products sums at most P of them into one slot, which
-stays below e p^(qa+qb) P.  With W = (p^(qa+qb) e P).bit_length() + 1 no slot
-carries into the next, so packed products may be added freely.  A monomial
-w^a is keyed by the int sum a_i (Dmax+1)^(i-1); pairs of total degree above
-Dmax are skipped before their keys are added, so every exponent of a sum is
-at most Dmax and key addition is carry-free too.
-
-Each output monomial therefore accumulates the plain integer sum of its
-products, and is reduced once: mod Phi (the context modulus) and mod p^n,
-where n is the least min(qa, qb) over the pairs that reached it.  This is
-exactly what reducing every product and summing at min precision gives:
-reduction by the monic Phi is Z-linear, and p^n divides p^m for n <= m, so
-reducing at the end loses nothing the per-product reductions kept.
+A DomainFunc is a series.TruncSeries in h-1 variables over UnramRing(ctx):
+sums, scalings, powers, equality and products are the series ones, and each
+builds a DomainFunc again.  Products go through series._lazy_combine, which
+gives a product one absolute precision, the least of its inputs (see the
+series module docstring); _apply_substitution sums all the products of one
+substitution in a single call of it.
 
 Each Lie operator is one monomial map: the (i,j) matrix unit (w_0 := 1) sends
 w^a to k w^(a - e_j + e_i), k = a_j for j != 0 and k = s - |a| for j = 0 (s
@@ -49,30 +35,23 @@ have the precision of c, so s c - |a| c is (s - |a|) c whichever was 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .divalg import DivElem, j_embed
-from .linalg import KernelResult, PrecisionLossError, kernel_basis, pivot_divider
+from .linalg import KernelResult, kernel_basis, pivot_divider
 from .padics import (
-    ContextMismatchError,
     NonUnitError,
     PadicScalar,
+    PrecisionLossError,
     UnramContext,
-    _reduce_poly,
+    ZeroAtPrecisionError,
     frobenius,
     scalar_add,
     scalar_inv,
     scalar_mul,
     scalar_mul_int,
-    scalar_neg,
-    scalar_sub,
 )
-
-
-class ZeroAtPrecisionError(ArithmeticError):
-    """Norm of a function that vanishes at the working precision."""
+from .series import TruncSeries, UnramRing, _lazy_combine, geometric_inverse
 
 
 class NotInPError(ValueError):
@@ -91,86 +70,28 @@ def monomials(h: int, dmax: int) -> list[tuple[int, ...]]:
     return [t for d in range(dmax + 1) for t in of_degree(h - 1, d)]
 
 
-class DomainFunc:
+class DomainFunc(TruncSeries):
     """Sparse polynomial in w_1..w_{h-1}, coefficients in the context ring."""
 
-    __slots__ = ("ctx", "h", "dmax", "terms")
+    __slots__ = ()
 
     def __init__(self, ctx: UnramContext, h: int, dmax: int,
                  terms: dict[tuple[int, ...], PadicScalar] | None = None):
-        self.ctx = ctx
-        self.h = h
-        self.dmax = dmax
-        self.terms = {}
-        if terms:
-            for exp, c in terms.items():
-                if sum(exp) <= dmax and not c.is_zero_at_precision():
-                    self.terms[exp] = c
+        super().__init__(UnramRing(ctx), h - 1, dmax, terms)
 
-    def __repr__(self):
-        return f"DomainFunc(h={self.h}, {len(self.terms)} terms, dmax={self.dmax})"
+    @property
+    def ctx(self) -> UnramContext:
+        return self.ring.ctx
 
-    def is_zero_at_precision(self) -> bool:
-        return not self.terms
+    @property
+    def h(self) -> int:
+        return self.nvars + 1
 
-    def coeff(self, exp) -> PadicScalar:
-        return self.terms.get(tuple(exp), self.ctx.zero())
+    is_zero_at_precision = TruncSeries.is_zero
 
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.terms)
-
-    def eq(self, other: "DomainFunc") -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(self.coeff(k) == other.coeff(k) for k in keys)
-
-    def add(self, other: "DomainFunc") -> "DomainFunc":
-        return self._combine(other, scalar_add, None)
-
-    def sub(self, other: "DomainFunc") -> "DomainFunc":
-        return self._combine(other, scalar_sub, scalar_neg)
-
-    def _combine(self, other: "DomainFunc", op, unmatched) -> "DomainFunc":
-        # both operands hold only nonzero terms within their Dmax: drop just
-        # the sums that cancel and the terms of other above self.dmax
-        out = dict(self.terms)
-        dmax = self.dmax
-        for e, c in other.terms.items():
-            if e in out:
-                c = op(out[e], c)
-                if any(c.coords):
-                    out[e] = c
-                else:
-                    del out[e]
-            elif other.dmax <= dmax or sum(e) <= dmax:
-                out[e] = unmatched(c) if unmatched else c
-        return _prefiltered(self.ctx, self.h, dmax, out)
-
-    def neg(self) -> "DomainFunc":
-        return _prefiltered(self.ctx, self.h, self.dmax,
-                            {e: scalar_neg(c) for e, c in self.terms.items()})
-
-    def scale(self, c: PadicScalar) -> "DomainFunc":
-        return DomainFunc(self.ctx, self.h, self.dmax,
-                          {e: scalar_mul(v, c) for e, v in self.terms.items()})
-
-    def scale_int(self, k: int) -> "DomainFunc":
-        return DomainFunc(self.ctx, self.h, self.dmax,
-                          {e: scalar_mul_int(v, k) for e, v in self.terms.items()})
-
-    def mul(self, other: "DomainFunc") -> "DomainFunc":
-        return _prefiltered(self.ctx, self.h, self.dmax, _lazy_combine(
-            self.ctx, self.h, self.dmax, [(self.terms, other.terms)]))
-
-    def pow(self, k: int) -> "DomainFunc":
-        result = domain_const(self.ctx, self.h, self.dmax, self.ctx.one())
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return result
+    # the series product, as an entry of this class's own: bench/tracer.py
+    # times the products of functions as DomainFunc.mul
+    mul = TruncSeries.mul
 
     def scale_down(self, k: int) -> "DomainFunc":
         """Exact division of every coefficient by p^k."""
@@ -182,7 +103,7 @@ class DomainFunc:
             if c.prec <= k:
                 raise PrecisionLossError(f"precision exhausted dividing by p^{k}")
             out[e] = PadicScalar(self.ctx, tuple(x // pk for x in c.coords), c.prec - k)
-        return DomainFunc(self.ctx, self.h, self.dmax, out)
+        return self._build(out)
 
     def gauss_valuation(self) -> int:
         """vD(f) in units of v(p)/h."""
@@ -202,8 +123,7 @@ class DomainFunc:
         return best
 
     def at_precision(self, n: int) -> "DomainFunc":
-        return DomainFunc(self.ctx, self.h, self.dmax,
-                          {e: c.at_precision(n) for e, c in self.terms.items()})
+        return self._build({e: c.at_precision(n) for e, c in self.terms.items()})
 
     def to_json(self) -> dict:
         return {
@@ -227,101 +147,6 @@ class DomainFunc:
                     term = scalar_mul(term, point[i])
             acc = scalar_add(acc, term)
         return acc
-
-
-def _lazy_combine(ctx: UnramContext, h: int, dmax: int,
-                  pairs: list[tuple[dict, dict]]) -> dict[tuple[int, ...], PadicScalar]:
-    """Terms of sum F*G over `pairs` of term dicts, truncated at total degree dmax.
-
-    The result equals, coordinates and precision both, computing each F*G
-    with one scalar_mul/scalar_add per pair of coefficients and summing the
-    products with DomainFunc.add.  Inside one product every pair of
-    coefficients counts towards the precision, even one whose product is 0.
-    DomainFunc.add drops a partial sum that is 0 at its precision, so a later
-    summand can restore precision; with more than one precision in play that
-    is order-dependent, and only the sequential sum reproduces it.
-    """
-    pairs = [(F, G) for F, G in pairs if F and G]
-    if not pairs:
-        return {}
-    levels: set[int] = set()
-    qf = qg = count = 0
-    for F, G in pairs:
-        cf, cg = next(iter(F.values())), next(iter(G.values()))
-        if not cf.ctx.same_ring(cg.ctx):
-            raise ContextMismatchError(
-                f"context mismatch: (p={cf.ctx.p}, e={cf.ctx.e}) vs (p={cg.ctx.p}, e={cg.ctx.e})")
-        pf = {c.prec for c in F.values()}
-        pg = {c.prec for c in G.values()}
-        levels.update(min(a, b) for a in pf for b in pg)
-        qf, qg = max(qf, *pf), max(qg, *pg)
-        count += len(F) * len(G)
-    if len(levels) > 1 and len(pairs) > 1:
-        acc = DomainFunc(ctx, h, dmax)
-        for pair in pairs:
-            acc = acc.add(DomainFunc(ctx, h, dmax, _lazy_combine(ctx, h, dmax, [pair])))
-        return acc.terms
-
-    p, e = ctx.p, ctx.e
-    width = (p ** (qf + qg) * e * count).bit_length() + 1
-    stride = dmax + 1
-
-    def pack(terms: dict) -> list[tuple[int, int, int, int]]:
-        # (degree, key, packed coordinates, precision) of the terms within dmax
-        out = []
-        for exp, c in terms.items():
-            d = sum(exp)
-            if d <= dmax:
-                key = x = 0
-                for a in reversed(exp):
-                    key = key * stride + a
-                for v in reversed(c.coords):
-                    x = (x << width) + v
-                out.append((d, key, x, c.prec))
-        return out
-
-    sums = {q: defaultdict(int) for q in levels}
-    for F, G in pairs:
-        groups: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-        for d, key, x, q in sorted(pack(G)):
-            degs, items = groups.setdefault(q, ([], []))
-            degs.append(d)
-            items.append((key, x))
-        for d1, k1, x1, q1 in pack(F):
-            room = dmax - d1
-            for q2, (degs, items) in groups.items():
-                acc = sums[min(q1, q2)]
-                for k2, x2 in items[:bisect_right(degs, room)]:
-                    acc[k1 + k2] += x1 * x2
-
-    merged: dict[int, list[int]] = {}
-    for q in sorted(levels):
-        for k, v in sums[q].items():
-            if k in merged:
-                merged[k][0] += v
-            else:
-                merged[k] = [v, q]
-    mask = (1 << width) - 1
-    shifts = range(0, (2 * e - 1) * width, width)
-    out = {}
-    for k, (v, q) in merged.items():
-        pn = p ** q
-        coords = _reduce_poly([((v >> s) & mask) % pn for s in shifts], ctx.modulus, e, pn)
-        if any(coords):
-            exp = []
-            for _ in range(h - 1):
-                k, a = divmod(k, stride)
-                exp.append(a)
-            out[tuple(exp)] = PadicScalar(ctx, coords, q)
-    return out
-
-
-def _prefiltered(ctx: UnramContext, h: int, dmax: int, terms: dict) -> DomainFunc:
-    """A DomainFunc holding `terms` itself, without the filter of __init__:
-    every exponent must be within dmax and every coefficient nonzero."""
-    f = DomainFunc.__new__(DomainFunc)
-    f.ctx, f.h, f.dmax, f.terms = ctx, h, dmax, terms
-    return f
 
 
 def domain_const(ctx, h, dmax, c: PadicScalar) -> DomainFunc:
@@ -396,28 +221,20 @@ def monomial_section(ctx, h, dmax, exp, s: int) -> Section:
     return Section(domain_monomial(ctx, h, dmax, exp), s)
 
 
-def _substitution_data(ctx, h: int, dmax: int, nums: list[DomainFunc],
-                       den: DomainFunc) -> tuple[list[DomainFunc], DomainFunc, DomainFunc]:
-    """Substituted generators nums[i]/den, plus (den, den_inv) for twists.
+def _substitution_data(nums: list[DomainFunc],
+                       den: DomainFunc) -> tuple[list[DomainFunc], DomainFunc]:
+    """Substituted generators nums[i]/den, plus den_inv for twists.
 
     den = c0 (1 + eps) with c0 a unit; the inverse is the geometric series
     sum (-eps)^k, exact to the truncation since eps has positive degree.
     """
-    c0 = den.coeff((0,) * (h - 1))
+    c0 = den.coeff((0,) * den.nvars)
     if c0.valuation() != 0:
         raise NonUnitError("denominator constant term is not a unit")
     c0inv = scalar_inv(c0)
-    neg_eps = domain_const(ctx, h, dmax, ctx.one()).sub(den.scale(c0inv))
-    inv = domain_const(ctx, h, dmax, ctx.one())
-    pw = domain_const(ctx, h, dmax, ctx.one())
-    for _ in range(dmax):
-        pw = pw.mul(neg_eps)
-        if pw.is_zero_at_precision():
-            break
-        inv = inv.add(pw)
-    den_inv = inv.scale(c0inv)
+    den_inv = geometric_inverse(den.scale(c0inv)).scale(c0inv)
     gens = [num.mul(den_inv) for num in nums]
-    return gens, den, den_inv
+    return gens, den_inv
 
 
 def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
@@ -444,7 +261,7 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
             if a:
                 term = pows[i][a] if term is one else term.mul(pows[i][a])
         pairs.append(({const: c}, term.terms))
-    return _prefiltered(ctx, h, dmax, _lazy_combine(ctx, h, dmax, pairs))
+    return f._build(_lazy_combine(ctx, h - 1, dmax, pairs), filtered=True)
 
 
 def _gamma_weights(gamma: DivElem, h: int, ctx, dmax: int):
@@ -495,7 +312,7 @@ def gamma_act(gamma: DivElem, x: Section | DomainFunc, dmax: int | None = None):
     if dm != f.dmax:
         f = DomainFunc(ctx, h, dm, dict(f.terms))
     nums, den = _gamma_weights(gamma, h, ctx, dm)
-    gens, den, den_inv = _substitution_data(ctx, h, dm, nums, den)
+    gens, den_inv = _substitution_data(nums, den)
     out = _apply_substitution(f, gens)
     s = x.twist
     if s > 0:
@@ -560,7 +377,7 @@ def p_act(a: list[list[PadicScalar]], f: DomainFunc, dmax: int | None = None) ->
         e[j - 1] = 1
         den_terms[tuple(e)] = a[j][0]
     den = DomainFunc(ctx, h, dm, den_terms)
-    gens, _, _ = _substitution_data(ctx, h, dm, nums, den)
+    gens, _ = _substitution_data(nums, den)
     return _apply_substitution(f, gens)
 
 
@@ -589,7 +406,7 @@ def lie_act(i: int, j: int, x: Section) -> Section:
             if i:
                 b[i - 1] += 1
             out[tuple(b)] = PadicScalar(ctx, coords, c.prec)
-    return Section(_prefiltered(ctx, f.h, dmax, out), s)
+    return Section(f._build(out, filtered=True), s)
 
 
 def lie_derived_operator(delta: DivElem, x: Section) -> Section:

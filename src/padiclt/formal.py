@@ -16,8 +16,8 @@ from .series import (
     QuotRing,
     TruncSeries,
     compose_univariate,
+    geometric_inverse,
     reduce_mod_p,
-    series_const,
     series_from_int_coeffs,
     series_var,
     substitute_two,
@@ -237,15 +237,7 @@ def logarithm(module: FormalModule) -> Logarithm:
     psi = TruncSeries(ring, 1, dmax,
                       {(e[1],): ring.mul_int(c, e[0])
                        for e, c in F.terms.items() if e[0] == 1})
-    one = series_const(ring, 1, dmax, ring.one())
-    eps = one.sub(psi)
-    inv = series_const(ring, 1, dmax, ring.one())
-    pw = one
-    for _ in range(dmax):
-        pw = pw.mul(eps)
-        if pw.is_zero():
-            break
-        inv = inv.add(pw)
+    inv = geometric_inverse(psi)
 
     # numerator of p^d * integral: coefficient of X^(n+1) is (p^d/(n+1)) c_n
     num_terms = {}

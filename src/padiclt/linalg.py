@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .padics import (
     ContextMismatchError,
     PadicScalar,
+    PrecisionLossError,
     UnramContext,
     _coords_mul,
     _coords_valuation,
@@ -39,10 +40,6 @@ from .padics import (
     scalar_neg,
     scalar_sub,
 )
-
-
-class PrecisionLossError(ArithmeticError):
-    """A division consumed more p-adic precision than available."""
 
 
 def _shift_down(a: PadicScalar, v: int) -> PadicScalar:

@@ -23,23 +23,12 @@ class NonUnitError(ArithmeticError):
     """Inversion was requested for a non-unit (or zero-at-precision) element."""
 
 
-def _poly_mul_mod_p(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """Product of two F_p[x] polynomials reduced mod a monic `mod`."""
-    e = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for k in range(e + 1):
-                prod[d - e + k] = (prod[d - e + k] - c * mod[k]) % p
-    out = prod[:e]
-    out += [0] * (e - len(out))
-    return out
+class PrecisionLossError(ArithmeticError):
+    """A division consumed more p-adic precision than available."""
+
+
+class ZeroAtPrecisionError(ArithmeticError):
+    """A norm or valuation of something that vanishes at the working precision."""
 
 
 def _poly_gcd_deg_mod_p(f: list[int], g: list[int], p: int) -> int:
@@ -74,22 +63,23 @@ def _is_irreducible_mod_p(poly: list[int], p: int) -> bool:
     if e == 1:
         return True
 
-    def frob_power(times: int) -> list[int]:
+    x = (0, 1) + (0,) * (e - 2)
+
+    def frob_power(times: int) -> tuple[int, ...]:
         # x^(p^times) mod poly by repeated p-th powering
-        cur = [0, 1] + [0] * (e - 2)
+        cur = x
         for _ in range(times):
-            acc = [1] + [0] * (e - 1)
+            acc = (1,) + (0,) * (e - 1)
             base = cur
             n = p
             while n:
                 if n & 1:
-                    acc = _poly_mul_mod_p(acc, base, poly, p)
-                base = _poly_mul_mod_p(base, base, poly, p)
+                    acc = _coords_mul(acc, base, poly, e, p)
+                base = _coords_mul(base, base, poly, e, p)
                 n >>= 1
             cur = acc
         return cur
 
-    x = [0, 1] + [0] * (e - 2)
     if frob_power(e) != x:
         return False
     primes = set()

@@ -15,13 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .padics import ZeroAtPrecisionError
+
 
 class DegreeOverflowError(ValueError):
     """The recursion would create exponents beyond Dmax (never truncated)."""
-
-
-class ZeroAtPrecisionError(ArithmeticError):
-    pass
 
 
 def _vp(n: int, p: int) -> int:

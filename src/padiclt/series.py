@@ -5,23 +5,42 @@ bound Dmax; multiplication silently drops degrees beyond Dmax (the series
 is a class representative mod deg Dmax+1).  Coefficient rings are small
 adapter objects; the ones used here are integers mod p^N (covers Z_p and
 F_p), unramified extensions via PadicScalar (covers F_{p^e}), and monic
-polynomial quotients for torsion-point rings.
+polynomial quotients for torsion-point rings.  domain.DomainFunc is a
+TruncSeries over an unramified ring; every operation here builds a result
+of its operand's own type, so a DomainFunc stays one.
 
-Products go through one kernel, _lazy_mul, over Z/p^N and unramified
-coefficients (the quotient rings only serve pointwise evaluation, and a
-product of series over any other ring raises TypeError).  A monomial X^a
-is keyed by the int sum a_i (Dmax+1)^i.  The terms of the right factor are
-sorted by total degree, so for each left term the partners that stay
-within Dmax are a prefix found by bisection; every exponent of a kept pair
-is at most Dmax, so adding two keys never carries from one variable into
-the next.  Over Z/p^N each output key accumulates the plain integer sum of
-its products and is reduced once, `% p^N`: reduction mod p^N is a ring map
-from Z, so reducing the sum equals summing the reduced products, and these
-coefficients carry no precision that the order of the sum could change.
-Over an unramified ring the product is domain._lazy_combine on the one
-pair: a coefficient's precision is the least min(prec a, prec b) over the
-pairs that reached its monomial, the rule the per-pair scalar loop
-followed.
+This module owns the sparse product kernels: _lazy_mul over Z/p^N and
+_lazy_combine over unramified coefficients (the quotient rings only serve
+pointwise evaluation, and a product of series over any other ring raises
+TypeError).  A monomial X^a is keyed by the int sum a_i (Dmax+1)^i.  The
+terms of the right factor are sorted by total degree, so for each left term
+the partners that stay within Dmax are a prefix found by bisection; every
+exponent of a kept pair is at most Dmax, so adding two keys never carries
+from one variable into the next.  Over Z/p^N each output key accumulates
+the plain integer sum of its products and is reduced once, `% p^N`:
+reduction mod p^N is a ring map from Z, so reducing the sum equals summing
+the reduced products.
+
+_lazy_combine computes sum_k F_k * G_k over a list of pairs of term dicts
+without building a scalar per coefficient product.  A coefficient's e
+coordinates c_0..c_{e-1} are packed into one Python int sum c_i 2^(i W);
+the product of two packed ints then holds the 2e-1 coordinates of the
+unreduced polynomial product in x, one per W-bit slot.  Coordinates are
+reduced, so every slot of one product is below e p^(qa+qb), where qa and qb
+bound the precisions of the two factors; a call that forms P coefficient
+products sums at most P of them into one slot, which stays below
+e p^(qa+qb) P.  With W = (p^(qa+qb) e P).bit_length() + 1 no slot carries
+into the next, so packed products may be added freely.
+
+A product has one absolute precision q, the least precision of any
+coefficient of the pairs that take part (Caruso, Roe and Vaccon, "Tracking
+p-adic precision", LMS J. Comput. Math. 17A, 2014): every output coefficient
+is the one accumulated integer sum reduced once mod (Phi, p^q).  Reduction
+by the monic Phi is Z-linear and p^q divides every p^m with m >= q, so this
+is each product reduced and summed at precision q.  On inputs of one
+precision it is exactly the per-pair scalar loop; on mixed inputs the
+result claims no more precision than its least precise input, and no
+summation order can change it.
 """
 
 from __future__ import annotations
@@ -29,21 +48,20 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 
-from .domain import _lazy_combine
 from .padics import (
+    ContextMismatchError,
     PadicScalar,
+    PrecisionLossError,
     UnramContext,
     _coords_mul,
+    _reduce_poly,
     scalar_add,
     scalar_inv,
     scalar_mul,
+    scalar_mul_int,
     scalar_neg,
     scalar_sub,
 )
-
-
-class PrecisionLossError(ArithmeticError):
-    """Integration divided by n+1 with insufficient coefficient valuation."""
 
 
 class IntModRing:
@@ -149,11 +167,10 @@ class UnramRing:
         return scalar_mul(a, b)
 
     def mul_int(self, a, k):
-        from .padics import scalar_mul_int
         return scalar_mul_int(a, k)
 
     def is_zero(self, a):
-        return a.is_zero_at_precision()
+        return not any(a.coords)
 
     def eq(self, a, b):
         return a == b
@@ -230,12 +247,23 @@ class TruncSeries:
                 if sum(exp) <= dmax and not ring.is_zero(c):
                     self.terms[exp] = c
 
+    def _build(self, terms: dict, filtered: bool = False) -> "TruncSeries":
+        """A series of self's type, ring, arity and Dmax holding `terms`.
+
+        Terms above Dmax and zero coefficients are dropped as in __init__,
+        unless `filtered` says that no term needs it; the dict is then kept.
+        """
+        f = object.__new__(type(self))
+        f.ring, f.nvars, f.dmax = self.ring, self.nvars, self.dmax
+        if not filtered:
+            dmax, is_zero = self.dmax, self.ring.is_zero
+            terms = {e: c for e, c in terms.items() if sum(e) <= dmax and not is_zero(c)}
+        f.terms = terms
+        return f
+
     def __repr__(self):
         items = sorted(self.terms)[:6]
-        return f"TruncSeries({len(self.terms)} terms, dmax={self.dmax}, lead={items})"
-
-    def copy(self) -> "TruncSeries":
-        return TruncSeries(self.ring, self.nvars, self.dmax, dict(self.terms))
+        return f"{type(self).__name__}({len(self.terms)} terms, dmax={self.dmax}, lead={items})"
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -247,8 +275,15 @@ class TruncSeries:
         return self.coeff((0,) * self.nvars)
 
     def eq(self, other: "TruncSeries") -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(self.ring.eq(self.coeff(k), other.coeff(k)) for k in keys)
+        """Coefficientwise ring.eq; a monomial missing on one side is 0 there."""
+        ring, a, b = self.ring, self.terms, other.terms
+        if a.keys() == b.keys():
+            for e, c in a.items():
+                if not ring.eq(c, b[e]):
+                    return False
+            return True
+        zero = ring.zero()
+        return all(ring.eq(a.get(e, zero), b.get(e, zero)) for e in a.keys() | b.keys())
 
     def add(self, other: "TruncSeries") -> "TruncSeries":
         return self._combine(other, self.ring.add, None)
@@ -270,29 +305,26 @@ class TruncSeries:
                     out[exp] = c
             elif other.dmax <= dmax or sum(exp) <= dmax:
                 out[exp] = unmatched(c) if unmatched else c
-        return _prefiltered(ring, self.nvars, dmax, out)
+        return self._build(out, filtered=True)
 
     def neg(self) -> "TruncSeries":
-        ring = self.ring
-        return _prefiltered(ring, self.nvars, self.dmax,
-                            {e: ring.neg(c) for e, c in self.terms.items()})
+        neg = self.ring.neg
+        return self._build({e: neg(c) for e, c in self.terms.items()}, filtered=True)
 
     def scale(self, c) -> "TruncSeries":
-        ring = self.ring
-        return TruncSeries(ring, self.nvars, self.dmax,
-                           {e: ring.mul(v, c) for e, v in self.terms.items()})
+        mul = self.ring.mul
+        return self._build({e: mul(v, c) for e, v in self.terms.items()})
 
     def scale_int(self, k: int) -> "TruncSeries":
-        ring = self.ring
-        return TruncSeries(ring, self.nvars, self.dmax,
-                           {e: ring.mul_int(v, k) for e, v in self.terms.items()})
+        mul_int = self.ring.mul_int
+        return self._build({e: mul_int(v, k) for e, v in self.terms.items()})
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
-        return _prefiltered(self.ring, self.nvars, self.dmax,
-                            _lazy_mul(self.ring, self.nvars, self.dmax, self.terms, other.terms))
+        return self._build(_lazy_mul(self.ring, self.nvars, self.dmax, self.terms, other.terms),
+                           filtered=True)
 
     def pow(self, k: int) -> "TruncSeries":
-        result = series_const(self.ring, self.nvars, self.dmax, self.ring.one())
+        result = self._build({(0,) * self.nvars: self.ring.one()})
         base = self
         while k:
             if k & 1:
@@ -311,7 +343,7 @@ class TruncSeries:
                 ne = list(exp)
                 ne[var] = n - 1
                 out[tuple(ne)] = ring.mul_int(c, n)
-        return TruncSeries(ring, self.nvars, self.dmax, out)
+        return self._build(out)
 
     def integrate(self, var: int = 0) -> "TruncSeries":
         """Antiderivative with zero constant term; divisions must be exact."""
@@ -329,7 +361,7 @@ class TruncSeries:
                 raise PrecisionLossError(
                     f"integration hit inexact division by {n + 1} at degree {sum(exp)}"
                 ) from exc
-        return TruncSeries(ring, self.nvars, self.dmax, out)
+        return self._build(out)
 
     def map_coefficients(self, fn, new_ring) -> "TruncSeries":
         out = {}
@@ -347,24 +379,34 @@ class TruncSeries:
         }
 
 
-def _prefiltered(ring, nvars: int, dmax: int, terms: dict) -> TruncSeries:
-    """A TruncSeries holding `terms` itself, without the filter of __init__:
-    every exponent must be within dmax and every coefficient nonzero."""
-    f = TruncSeries.__new__(TruncSeries)
-    f.ring, f.nvars, f.dmax, f.terms = ring, nvars, dmax, terms
-    return f
+def geometric_inverse(u: TruncSeries) -> TruncSeries:
+    """1/u for a series u with constant term 1: sum_k (1 - u)^k, k < Dmax + 1.
+
+    1 - u has no constant term, so its Dmax+1-st power is 0 mod deg Dmax+1;
+    the sum stops early at the first power that is 0.
+    """
+    one = u._build({(0,) * u.nvars: u.ring.one()})
+    x = one.sub(u)
+    inv = pw = one
+    for _ in range(u.dmax):
+        pw = pw.mul(x)
+        if pw.is_zero():
+            break
+        inv = inv.add(pw)
+    return inv
 
 
 def _lazy_mul(ring, nvars: int, dmax: int, a: dict, b: dict) -> dict:
     """Terms of the product of the term dicts a and b, truncated at total degree dmax.
 
-    Equal, coefficient for coefficient, to multiplying every pair of terms
-    with ring.mul and summing with ring.add; see the module docstring.
+    Over Z/p^N equal, coefficient for coefficient, to multiplying every pair
+    of terms with ring.mul and summing with ring.add; over an unramified ring
+    it is _lazy_combine on the one pair.  See the module docstring.
     """
     if not a or not b:
         return {}
     if isinstance(ring, UnramRing):
-        return _lazy_combine(ring.ctx, nvars + 1, dmax, [(a, b)])
+        return _lazy_combine(ring.ctx, nvars, dmax, [(a, b)])
     if not isinstance(ring, IntModRing):
         raise TypeError(f"series products need Z/p^N or unramified coefficients, not {ring!r}")
     stride = dmax + 1
@@ -398,6 +440,73 @@ def _lazy_mul(ring, nvars: int, dmax: int, a: dict, b: dict) -> dict:
                 k, x = divmod(k, stride)
                 exp.append(x)
             out[tuple(exp)] = v
+    return out
+
+
+def _lazy_combine(ctx: UnramContext, nvars: int, dmax: int,
+                  pairs: list[tuple[dict, dict]]) -> dict[tuple[int, ...], PadicScalar]:
+    """Terms of sum F*G over `pairs` of term dicts, truncated at total degree dmax.
+
+    Every coefficient has the one precision q of the module docstring: the
+    least precision of any coefficient of a pair whose two sides are both
+    nonempty.  On inputs of one precision this equals, coordinates and
+    precision both, one scalar_mul/scalar_add per pair of coefficients.
+    """
+    pairs = [(F, G) for F, G in pairs if F and G]
+    if not pairs:
+        return {}
+    pf: set[int] = set()
+    pg: set[int] = set()
+    count = 0
+    for F, G in pairs:
+        cf, cg = next(iter(F.values())), next(iter(G.values()))
+        if not cf.ctx.same_ring(cg.ctx):
+            raise ContextMismatchError(
+                f"context mismatch: (p={cf.ctx.p}, e={cf.ctx.e}) vs (p={cg.ctx.p}, e={cg.ctx.e})")
+        pf.update(c.prec for c in F.values())
+        pg.update(c.prec for c in G.values())
+        count += len(F) * len(G)
+    q = min(*pf, *pg)
+
+    p, e = ctx.p, ctx.e
+    width = (p ** (max(pf) + max(pg)) * e * count).bit_length() + 1
+    stride = dmax + 1
+
+    def pack(terms: dict) -> list[tuple[int, int, int]]:
+        # (degree, key, packed coordinates) of the terms within dmax
+        out = []
+        for exp, c in terms.items():
+            d = sum(exp)
+            if d <= dmax:
+                key = x = 0
+                for a in reversed(exp):
+                    key = key * stride + a
+                for v in reversed(c.coords):
+                    x = (x << width) + v
+                out.append((d, key, x))
+        return out
+
+    acc: dict[int, int] = defaultdict(int)
+    for F, G in pairs:
+        right = sorted(pack(G))
+        degs = [d for d, _, _ in right]
+        right = [(k, x) for _, k, x in right]
+        for d1, k1, x1 in pack(F):
+            for k2, x2 in right[:bisect_right(degs, dmax - d1)]:
+                acc[k1 + k2] += x1 * x2
+
+    pn = p ** q
+    mask = (1 << width) - 1
+    shifts = range(0, (2 * e - 1) * width, width)
+    out = {}
+    for k, v in acc.items():
+        coords = _reduce_poly([((v >> s) & mask) % pn for s in shifts], ctx.modulus, e, pn)
+        if any(coords):
+            exp = []
+            for _ in range(nvars):
+                k, a = divmod(k, stride)
+                exp.append(a)
+            out[tuple(exp)] = PadicScalar(ctx, coords, q)
     return out
 
 

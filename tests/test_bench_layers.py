@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -19,3 +21,23 @@ def test_bench_layers_smoke(tmp_path):
         "domain.gamma_act", "linalg.kernel_basis", "padics.frobenius", "domain.lie_act",
         "divalg.nrd", "divalg.div_inv"}
     assert all(t > 0 for t in report["median_s"].values())
+
+
+def test_every_traced_layer_is_defined_where_the_tracer_looks():
+    # bench/tracer.py wraps a public function found in vars() of its module
+    # (defined there), or a public method found in vars() of its class; a
+    # layer that moved into a base class or another module would go untraced
+    spec = json.loads((ROOT / "bench" / "layers.json").read_text())
+    for name in spec["functions"]:
+        module_name, _, rest = name.partition(".")
+        module = importlib.import_module(f"padiclt.{module_name}")
+        owner_name, _, method = rest.rpartition(".")
+        assert not rest.split(".")[-1].startswith("_"), name
+        if owner_name:
+            cls = vars(module).get(owner_name)
+            assert inspect.isclass(cls) and cls.__module__ == module.__name__, name
+            obj = vars(cls).get(method)
+            assert inspect.isfunction(obj) or isinstance(obj, staticmethod), name
+        else:
+            obj = vars(module).get(method)
+            assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name

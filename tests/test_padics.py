@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from padiclt.padics import (
     NonUnitError,
     PadicScalar,
     UnramContext,
+    _is_irreducible_mod_p,
     frobenius,
     make_context,
     scalar_add,
@@ -32,6 +34,30 @@ def test_least_irreducible_quadratic_over_f2():
     # exhaustive search oracle: x^2+x+1 is the only irreducible quadratic
     ctx = make_context(2, 2, 8)
     assert ctx.modulus == (1, 1, 1)
+
+
+def _monic(p: int, d: int) -> list[tuple[int, ...]]:
+    """Every monic polynomial of degree d over F_p, coefficients low to high."""
+    return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+
+def _poly_mul(a, b, p: int) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [2, 3])
+def test_rabin_test_matches_factor_search(p, e):
+    reducible = {_poly_mul(a, b, p)
+                 for d in range(1, e) for a in _monic(p, d) for b in _monic(p, e - d)}
+    got = {f for f in _monic(p, e) if _is_irreducible_mod_p(list(f), p)}
+    assert got == set(_monic(p, e)) - reducible
+    # Gauss's count of monic irreducibles: (p^2 - p)/2 and (p^3 - p)/3
+    assert len(got) == (p ** e - p) // e
 
 
 def test_frobenius_order_and_residue_power():

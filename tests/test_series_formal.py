@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclt.padics import ContextMismatchError, make_context
+from padiclt.padics import ContextMismatchError, PadicScalar, make_context
 from padiclt.series import (
     IntModRing,
     PrecisionLossError,
@@ -243,6 +243,21 @@ def _assert_identical(a: TruncSeries, b: TruncSeries) -> None:
         assert _key(c) == _key(b.terms[exp]), exp
 
 
+def _assert_product_rule(f: TruncSeries, g: TruncSeries) -> None:
+    """Over an unramified ring f*g has one precision q, the least of any
+    coefficient of f and g, and is the per-pair reference product cut to q;
+    on inputs of one precision that is the reference itself."""
+    got, ref = f.mul(g), _reference_mul(f, g)
+    if not (f.terms and g.terms):
+        assert got.is_zero()
+        return
+    q = min(c.prec for c in [*f.terms.values(), *g.terms.values()])
+    assert all(c.prec == q for c in got.terms.values())
+    assert all(q <= c.prec for c in ref.terms.values())
+    _assert_identical(got, TruncSeries(ref.ring, ref.nvars, ref.dmax,
+                                       {e: c.at_precision(q) for e, c in ref.terms.items()}))
+
+
 def _ring(kind: str, p: int, rng):
     N = rng.randint(1, 6)
     if kind == "int":
@@ -267,8 +282,55 @@ def test_mul_matches_reference_hypothesis(kind, p, nvars, dmax, extra, na, nb, s
     f = _random_series(ring, draw, nvars, dmax, na, rng)
     # g may have a larger Dmax, so it carries terms above f's bound
     g = _random_series(ring, draw, nvars, dmax + extra, nb, rng)
-    _assert_identical(f.mul(g), _reference_mul(f, g))
-    _assert_identical(g.mul(f), _reference_mul(g, f))
+    if kind == "int":
+        _assert_identical(f.mul(g), _reference_mul(f, g))
+        _assert_identical(g.mul(f), _reference_mul(g, f))
+    else:
+        _assert_product_rule(f, g)
+        _assert_product_rule(g, f)
+
+
+def _reference_eq(f: TruncSeries, g: TruncSeries) -> bool:
+    """The old TruncSeries.eq: ring.eq through coeff() on the union of the keys."""
+    keys = set(f.terms) | set(g.terms)
+    return all(f.ring.eq(f.coeff(k), g.coeff(k)) for k in keys)
+
+
+def _near(ring, c, rng):
+    """c itself, c at a lower precision, c moved by a unit at its precision
+    or by p^N, or a term that is nonzero yet 0 at the ring's precision N."""
+    r = rng.randrange(4)
+    if isinstance(ring, IntModRing):
+        return c + [0, ring.pN, 1, -ring.pN][r]
+    ctx = ring.ctx
+    if r == 1:
+        return c.at_precision(rng.randint(1, c.prec))
+    if r == 2:
+        return PadicScalar(ctx, ((c.coords[0] + 1) % ctx.p ** c.prec,) + c.coords[1:], c.prec)
+    if r == 3:
+        return ctx.from_int(ctx.p ** ctx.N, prec=ctx.N + 1)
+    return c
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(["int", "unram"]), st.sampled_from([2, 3, 5]), st.integers(1, 3),
+       st.integers(0, 4), st.integers(0, 6), st.integers(0, 10 ** 6))
+def test_eq_matches_reference_hypothesis(kind, p, nvars, dmax, n, seed):
+    rng = random.Random(seed)
+    ring, draw = _ring(kind, p, rng)
+    f = _random_series(ring, draw, nvars, dmax, n, rng)
+    # g shares, drops, perturbs or cuts f's terms and may hold terms of its own
+    terms = {e: _near(ring, c, rng) for e, c in f.terms.items() if rng.randrange(6)}
+    keys = sorted(f.terms)
+    for e in rng.sample(keys, min(len(keys), rng.randint(0, 1))):
+        terms[e] = _near(ring, draw(), rng)
+    extra = tuple(rng.randint(0, dmax) for _ in range(nvars))
+    if rng.randrange(2) and extra not in f.terms:
+        terms[extra] = _near(ring, draw(), rng)
+    g = TruncSeries(ring, nvars, dmax, terms)
+    assert f.eq(g) == _reference_eq(f, g)
+    assert g.eq(f) == _reference_eq(g, f)
+    assert f.eq(f)
 
 
 def _reference_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -367,19 +429,23 @@ def test_mul_unram_mixed_precision():
     prod = a.mul(b)
     _assert_identical(prod, _reference_mul(a, b))
     assert set(prod.terms) == {(1,)} and prod.terms[(1,)].prec == 6
-    # products at precisions 3 and 8 landing on one monomial sum at precision 3
+    # one coefficient at precision 3 puts the whole product at precision 3:
+    # X^2 = 2 * 9 comes from precision-8 coefficients alone, and the per-pair
+    # loop kept it at precision 8
     f = TruncSeries(ring, 1, 4, {(0,): ctx.from_int(7, prec=3), (1,): ctx.from_int(2)})
     g = TruncSeries(ring, 1, 4, {(0,): ctx.from_int(4), (1,): ctx.from_int(9)})
     prod = f.mul(g)
-    _assert_identical(prod, _reference_mul(f, g))
-    assert prod.terms[(1,)].prec == 3 and prod.terms[(0,)].prec == 3
+    _assert_product_rule(f, g)
+    assert {e: c.key() for e, c in prod.terms.items()} == {
+        (0,): ((28, 0), 3), (1,): ((71, 0), 3), (2,): ((18, 0), 3)}
+    assert _reference_mul(f, g).terms[(2,)].prec == 8
     rng = random.Random(4)
     for _ in range(20):
         f = _random_series(ring, lambda: ctx.random_element(rng, prec=rng.randint(1, 8)),
                            2, 5, 8, rng)
         g = _random_series(ring, lambda: ctx.random_element(rng, prec=rng.randint(1, 8)),
                            2, 5, 8, rng)
-        _assert_identical(f.mul(g), _reference_mul(f, g))
+        _assert_product_rule(f, g)
 
 
 def test_mul_rejects_mixed_contexts_and_other_rings():
