@@ -18,6 +18,8 @@ threshold and fails on no figure.
     domain.DomainFunc.mul   two dense random functions, (p, h, N) = (5, 3, 8), Dmax=10
     domain.gamma_act        a Gamma_1 element on a dense random function,
                             (p, h, N) = (3, 3, 8), Dmax=6
+    domain.gamma_act_h4     the same at (p, h, N) = (3, 4, 8), Dmax=6, where the
+                            Horner scheme of the substitution has a middle level
     linalg.kernel_basis     the system of operator_kernel for x_01, x_02 at
                             (p, h, N) = (3, 3, 8), Dmax=8 (criterion 12's n-row kernel)
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
@@ -65,11 +67,11 @@ def _domainfunc_mul():
     return lambda: f.mul(g)
 
 
-def _gamma_act():
-    ctx = make_context(3, 3, 8)
+def _gamma_act(h: int = 3):
+    ctx = make_context(3, h, 8)
     rng = random.Random(1)
     gamma = sample_gamma(ctx, 1, rng)
-    f = domain.random_domain_func(ctx, 3, 6, rng)
+    f = domain.random_domain_func(ctx, h, 6, rng)
     return lambda: domain.gamma_act(gamma, f)
 
 
@@ -129,6 +131,7 @@ LAYERS = {
     "formal.lt_construct": _lt_construct,
     "domain.DomainFunc.mul": _domainfunc_mul,
     "domain.gamma_act": _gamma_act,
+    "domain.gamma_act_h4": lambda: _gamma_act(4),
     "linalg.kernel_basis": _kernel_basis,
     "padics.frobenius": _frobenius,
     "domain.lie_act": _lie_act,

@@ -21,8 +21,9 @@ A DomainFunc is a series.TruncSeries in h-1 variables over UnramRing(ctx):
 sums, scalings, powers, equality and products are the series ones, and each
 builds a DomainFunc again.  Products go through series._lazy_combine, which
 gives a product one absolute precision, the least of its inputs (see the
-series module docstring); _apply_substitution sums all the products of one
-substitution in a single call of it.
+series module docstring).  _apply_substitution evaluates f(P) by a Horner
+scheme in the generators, one call of it per step, and cuts the result to
+the least precision of f and the generators it substitutes.
 
 Each Lie operator is one monomial map: the (i,j) matrix unit (w_0 := 1) sends
 w^a to k w^(a - e_j + e_i), k = a_j for j != 0 and k = s - |a| for j = 0 (s
@@ -238,30 +239,57 @@ def _substitution_data(nums: list[DomainFunc],
 
 
 def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
-    ctx, h, dmax = f.ctx, f.h, f.dmax
-    max_pows = [0] * (h - 1)
-    for e in f.terms:
-        for i, a in enumerate(e):
-            max_pows[i] = max(max_pows[i], a)
-    pows = []
-    for i in range(h - 1):
-        row = [domain_const(ctx, h, dmax, ctx.one())]
-        for _ in range(max_pows[i]):
-            row.append(row[-1].mul(gens[i]))
-        pows.append(row)
-    # A power pows[i][a], a >= 1, is 1 * gens[i]^a with no precision above
-    # that of the 1, so 1 * pows[i][a] is pows[i][a]: a term starts from its
-    # first power.
-    const = (0,) * (h - 1)
-    one = domain_const(ctx, h, dmax, ctx.one())
-    pairs = []
-    for e, c in f.terms.items():
-        term = one
-        for i, a in enumerate(e):
-            if a:
-                term = pows[i][a] if term is one else term.mul(pows[i][a])
-        pairs.append(({const: c}, term.terms))
-    return f._build(_lazy_combine(ctx, h - 1, dmax, pairs), filtered=True)
+    """f(P): every w_i of f replaced by P_{i-1} = gens[i-1], cut at f's Dmax.
+
+    A multivariate Horner scheme (Ceberio and Kreinovich, "Greedy algorithms
+    for optimizing multivariate Horner schemes", SIGSAM Bull. 38(1), 2004).
+    Grouping the terms of f by their exponent of w_1 gives
+    f(P) = sum_a P_0^a g_a(P_1, ...), summed as acc = acc * P_0 + g_a from
+    the top exponent down, with one product by P_0 per step, also where no
+    term has that exponent.  Each g_a is summed the same way in P_1, and so
+    on; at the last variable a group sum_b c_b P_last^b takes the powers of
+    P_last, built once per call.  Each step is one _lazy_combine call over
+    the pairs (acc, P_i) and those of the level below; a level's last step
+    stays a list of pairs for the level above, so the outermost sum is one
+    call as well.
+
+    The result has one precision q: the least precision of any coefficient
+    of f and of any nonempty generator that a term of f substitutes.  It is
+    cut to q once at the end.  Every step works at a precision of at least
+    q, so the cut gives f(P) mod p^q exactly, as one flat sum over the terms
+    of f would.  The cut matters only for mixed inputs: a middle sum that
+    cancels to 0 at a low precision leaves no coefficient to carry it.
+    """
+    ctx, nvars, dmax = f.ctx, f.nvars, f.dmax
+    if not f.terms:
+        return f._build({}, filtered=True)
+    used = [gens[i] for i in range(nvars) if any(e[i] for e in f.terms)]
+    q = min(c.prec for g in (f, *used) for c in g.terms.values())
+    const = (0,) * nvars
+    pows = [domain_const(ctx, f.h, dmax, ctx.one())]
+    for _ in range(max(e[-1] for e in f.terms) if nvars else 0):
+        pows.append(gens[-1] if len(pows) == 1 else pows[-1].mul(gens[-1]))
+
+    def pairs(terms: dict, i: int) -> list[tuple[dict, dict]]:
+        # pairs whose products sum to c * prod_{j >= i} P_j^e_j over the terms
+        # c w^e of `terms`; the powers of P_0..P_{i-1} are the caller's
+        if i >= nvars - 1:
+            return [({const: c}, pows[e[-1] if e else 0].terms) for e, c in terms.items()]
+        groups: dict[int, dict] = {}
+        for e, c in terms.items():
+            groups.setdefault(e[i], {})[e] = c
+        step: list[tuple[dict, dict]] = []
+        for a in range(max(groups), -1, -1):
+            if step:
+                step = [(_lazy_combine(ctx, nvars, dmax, step), gens[i].terms)]
+            if a in groups:
+                step += pairs(groups[a], i + 1)
+        return step
+
+    out = _lazy_combine(ctx, nvars, dmax, pairs(f.terms, 0))
+    if out and next(iter(out.values())).prec > q:
+        return f._build({e: c.at_precision(q) for e, c in out.items()})
+    return f._build(out, filtered=True)
 
 
 def _gamma_weights(gamma: DivElem, h: int, ctx, dmax: int):

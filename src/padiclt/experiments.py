@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from . import divalg, dist, domain, formal, periods, series
 from .divalg import (
-    div_mul, div_one, div_sub, in_filtration, j_embed, mat_eq, mat_mul, nrd,
-    sample_gamma, sample_obh,
+    div_mul, div_one, j_embed, mat_eq, mat_mul, nrd, sample_gamma, sample_obh,
 )
 from .domain import (
     DomainFunc, Section, contraction_profile, domain_const, domain_monomial,

@@ -19,7 +19,6 @@ from .series import (
     geometric_inverse,
     reduce_mod_p,
     series_from_int_coeffs,
-    series_var,
     substitute_two,
 )
 

@@ -548,6 +548,89 @@ def test_substitution_matches_reference_mixed_precision():
                                   _reference_substitution(f, gens))
 
 
+_HORNER_CTX = {p: make_context(p, 2, 6) for p in (2, 3, 5)}
+
+
+def _sparse_func(ctx, h: int, dmax: int, rng, size: int) -> DomainFunc:
+    exps = monomials(h, dmax)
+    return DomainFunc(ctx, h, dmax, {e: ctx.random_element(rng)
+                                     for e in rng.sample(exps, min(size, len(exps)))})
+
+
+def _horner_case(ctx, h: int, dmax: int, shape: str, rng) -> tuple[DomainFunc, list]:
+    const = (0,) * (h - 1)
+    if shape == "empty":
+        f = DomainFunc(ctx, h, dmax)
+    elif shape == "gap":
+        top = (dmax,) + const[1:] if h > 1 else const
+        f = DomainFunc(ctx, h, dmax, {top: ctx.random_unit(rng), const: ctx.random_element(rng)})
+    elif shape == "dense" and h <= 3:
+        f = random_domain_func(ctx, h, dmax, rng)
+    else:
+        f = _sparse_func(ctx, h, dmax, rng, rng.randint(1, 8))
+    gens = []
+    for _ in range(h - 1):
+        if h <= 3:
+            gens.append(random_domain_func(ctx, h, dmax, rng))
+        elif rng.random() < 0.1:
+            gens.append(DomainFunc(ctx, h, dmax))
+        else:
+            # dense generators cost the per-pair reference too much beyond
+            # h = 3; a constant term keeps the powers from vanishing
+            g = _sparse_func(ctx, h, dmax, rng, rng.randint(0, 5))
+            gens.append(g.add(domain_const(ctx, h, dmax, ctx.random_element(rng))))
+    return f, gens
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from(["sparse", "gap", "empty", "dense"]),
+       st.integers(0, 10 ** 6), st.booleans())
+def test_substitution_matches_reference_at_every_horner_level(p, shape, seed, mixed):
+    # h = 1 substitutes nothing, h = 2 has only the last variable, and h >= 4
+    # has middle levels; "gap" is c w_1^Dmax + d, whose steps below Dmax
+    # have no group of their own
+    ctx = _HORNER_CTX[p]
+    rng = random.Random(seed)
+    for h in range(1, 6):
+        for dmax in range(6):
+            f, gens = _horner_case(ctx, h, dmax, shape, rng)
+            if mixed:
+                f = _mixed_precision(f, rng, 1)
+                gens = [_mixed_precision(g, rng, 1) for g in gens]
+            got = _apply_substitution(f, gens)
+            ref = _reference_substitution(f, gens)
+            if not f.terms:
+                assert got.is_zero() and ref.is_zero()
+            elif mixed:
+                _assert_one_precision(got, ref, _least_precision(f, *gens))
+            else:
+                _assert_identical(got, ref)
+
+
+def test_substitution_keeps_the_precision_of_a_cancelled_horner_group():
+    # f = w_1 (w_2 + 2) + terms free of w_1: with P_1 = 1 + 3 w_2 the top group
+    # g_1(P_1) = 3 + 3 w_2 is 0 at its precision 1 and leaves no term, while
+    # every other coefficient has precision 8.  Its pairs are nonempty, so one
+    # flat sum over the terms of f has precision 1, and so must f(P), which
+    # is 5 + 7 + 2 + 5 = 1 mod 3 since P_1 = 1 mod 3.
+    ctx = CTX3
+    low = {(1, 1): ctx.from_int(1, prec=1), (1, 0): ctx.from_int(2, prec=1)}
+    high = {(0, 0): ctx.from_int(5), (0, 1): ctx.from_int(7), (0, 2): ctx.from_int(2),
+            (0, 3): ctx.from_int(5)}
+    f = DomainFunc(ctx, 3, 4, {**low, **high})
+    p0 = DomainFunc(ctx, 3, 4, {(0, 0): ctx.from_int(2), (1, 0): ctx.one(),
+                                (0, 1): ctx.from_int(10)})
+    p1 = DomainFunc(ctx, 3, 4, {(0, 0): ctx.one(), (0, 1): ctx.from_int(3)})
+    assert _apply_substitution(DomainFunc(ctx, 3, 4, low), [p0, p1]).is_zero()
+    out = _apply_substitution(f, [p0, p1])
+    assert out.terms and {c.prec for c in out.terms.values()} == {1}
+    _assert_one_precision(out, _reference_substitution(f, [p0, p1]), 1)
+    # one flat sum over the terms of f, as one _lazy_combine call
+    flat = series._lazy_combine(ctx, 2, 4, [({(0, 0): c}, p0.pow(e[0]).mul(p1.pow(e[1])).terms)
+                                            for e, c in f.terms.items()])
+    _assert_identical(out, DomainFunc(ctx, 3, 4, flat))
+
+
 def test_monomials_match_filtered_product():
     for h in range(1, 6):
         for dmax in range(9):
