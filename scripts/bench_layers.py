@@ -26,6 +26,8 @@ threshold and fails on no figure.
     domain.lie_act          all 16 operators x_ij on a dense random section of twist 2,
                             (p, h, N) = (3, 4, 8), Dmax=7
     divalg.nrd              20 reduced norms of random units, (p, h, N) = (3, 4, 8)
+    divalg.mat_mul          20 products j(a) j(b) of embedded random units, (p, h, N) = (3, 4, 8)
+    divalg.div_mul          20 products a b of random units, (p, h, N) = (3, 4, 8)
     divalg.div_inv          20 inverses of random units, (p, h, N) = (3, 4, 8)
 """
 
@@ -45,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from padiclt import domain  # noqa: E402
-from padiclt.divalg import div_inv, nrd, sample_gamma  # noqa: E402
+from padiclt.divalg import div_inv, div_mul, j_embed, mat_mul, nrd, sample_gamma  # noqa: E402
 from padiclt.formal import lt_construct  # noqa: E402
 from padiclt.linalg import kernel_basis  # noqa: E402
 from padiclt.padics import frobenius, make_context  # noqa: E402
@@ -121,6 +123,18 @@ def _nrd():
     return lambda: [nrd(a) for a in units]
 
 
+def _mat_mul():
+    mats = [j_embed(a) for a in _units()]
+    pairs = list(zip(mats, mats[1:] + mats[:1]))
+    return lambda: [mat_mul(A, B) for A, B in pairs]
+
+
+def _div_mul():
+    units = _units()
+    pairs = list(zip(units, units[1:] + units[:1]))
+    return lambda: [div_mul(a, b) for a, b in pairs]
+
+
 def _div_inv():
     units = _units()
     return lambda: [div_inv(a) for a in units]
@@ -136,6 +150,8 @@ LAYERS = {
     "padics.frobenius": _frobenius,
     "domain.lie_act": _lie_act,
     "divalg.nrd": _nrd,
+    "divalg.mat_mul": _mat_mul,
+    "divalg.div_mul": _div_mul,
     "divalg.div_inv": _div_inv,
 }
 

@@ -5,11 +5,35 @@ lambda_{h-1}*Pi^(h-1) with lambda_i integral over the degree-h unramified
 context and the relations Pi^h = p, Pi*lam = sigma(lam)*Pi.  The embedding
 j into h x h matrices is left multiplication on the right K_h-vector space
 with basis {1, Pi^(h-1), ..., Pi}; the reduced norm is det(j(.)).
+
+j_embed, mat_mul and div_mul work on integer coordinates, as
+linalg.determinant does.  sigma^r is one product with the cached matrix
+padics._frobenius_rows(ctx, r, .), and a coefficient's e coordinates are
+packed into one int (padics._pack), so the product of two packed ints holds
+the 2e-1 coordinates of the unreduced polynomial product.  Each output
+coefficient sums its packed products and is reduced once mod (Phi, p^q)
+(padics._unpack_reduce).  Reduction mod (Phi, p^q) is a ring map, so this
+equals the one-scalar-operation-per-step loops, coordinates and precision
+both, for these precisions q:
+
+- j_embed: entry (r, c) keeps the precision of its coefficient
+  lambda_{(c-r) mod h}; sigma^r and the factor p act at that precision.
+- mat_mul: entry (r, c) has the least precision of row r of A and column c
+  of B.
+- div_mul: coefficient k has the least of N and the precisions of a_i and
+  b_j over the pairs with a_i, b_j both nonzero and i + j = k mod h; with no
+  such pair it is 0 at precision N.  The pairs with i + j >= h carry the
+  factor p of Pi^h = p.
+
+A slot width is the bit length of the largest sum a slot can take, so no
+slot carries into the next: with coordinates below B = p^Q (Q the largest
+precision of the inputs), one product puts at most e (B-1)^2 into a slot.
 """
 
 from __future__ import annotations
 
 import json
+from operator import mul
 
 from .linalg import determinant, solve_unit_system
 from .padics import (
@@ -17,9 +41,11 @@ from .padics import (
     NonUnitError,
     PadicScalar,
     UnramContext,
+    _frobenius_rows,
+    _pack,
+    _unpack_reduce,
     frobenius,
     scalar_add,
-    scalar_mul,
     scalar_mul_int,
     scalar_sub,
 )
@@ -115,23 +141,43 @@ def div_sub(a: DivElem, b: DivElem) -> DivElem:
 
 
 def div_mul(a: DivElem, b: DivElem) -> DivElem:
-    """Normal-form product via Pi^i lam = sigma^i(lam) Pi^i and Pi^h = p."""
+    """Normal-form product via Pi^i lam = sigma^i(lam) Pi^i and Pi^h = p.
+
+    Coefficient k sums a_i sigma^i(b_j) over i + j = k mod h, times p when
+    i + j >= h; its precision is in the module docstring.
+    """
     _check_ctx(a, b)
     ctx = a.ctx
-    h = ctx.e
-    out = [ctx.zero() for _ in range(h)]
-    for i, ai in enumerate(a.coeffs):
-        if ai.is_zero_at_precision():
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if bj.is_zero_at_precision():
-                continue
-            term = scalar_mul(ai, frobenius(bj, i))
-            k = i + j
+    h = e = ctx.e
+    p, modulus = ctx.p, ctx.modulus
+    lhs = [(i, x) for i, x in enumerate(a.coeffs) if any(x.coords)]
+    rhs = [(j, y) for j, y in enumerate(b.coeffs) if any(y.coords)]
+    top = max((x.prec for _, x in lhs + rhs), default=0)
+    # coefficient 0 takes one plain product and h-1 products times p
+    width = ((1 + p * (h - 1)) * e * (p ** top - 1) ** 2).bit_length()
+    # twisted[i][j]: sigma^i(b_j), packed
+    twisted = {i: {} for i, _ in lhs}
+    for j, y in rhs:
+        for i in twisted:
+            c = y.coords
+            if i:
+                pn, rows = _frobenius_rows(ctx, i, y.prec)
+                c = [sum(map(mul, row, c)) % pn for row in rows]
+            twisted[i][j] = _pack(c, width)
+    acc: dict[int, int] = {}
+    precs: dict[int, int] = {}
+    for i, x in lhs:
+        xp = _pack(x.coords, width)
+        for j, y in rhs:
+            k, term = i + j, xp * twisted[i][j]
             if k >= h:
-                term = scalar_mul_int(term, ctx.p)
-                k -= h
-            out[k] = scalar_add(out[k], term)
+                k, term = k - h, term * p
+            acc[k] = acc.get(k, 0) + term
+            precs[k] = min(precs.get(k, ctx.N), x.prec, y.prec)
+    out = [ctx.zero()] * h
+    for k, v in acc.items():
+        q = precs[k]
+        out[k] = PadicScalar(ctx, _unpack_reduce(v, width, modulus, e, p ** q), q)
     return DivElem(ctx, tuple(out))
 
 
@@ -166,34 +212,60 @@ def j_embed(a: DivElem) -> list[list[PadicScalar]]:
 
     Row 0 is (lambda_0, p*lambda_1, ..., p*lambda_{h-1}); row r >= 1 has
     sigma^r(lambda_{h-r}) in column 0, sigma^r(lambda_{c-r}) for r <= c and
-    p*sigma^r(lambda_{h+c-r}) for r > c.
+    p*sigma^r(lambda_{h+c-r}) for r > c.  Each entry keeps the precision of
+    its coefficient.
     """
     ctx = a.ctx
-    h = ctx.e
+    h, p = ctx.e, ctx.p
+    coeffs = a.coeffs
+    pns = [p ** x.prec for x in coeffs]
+    # sigma^r mod p^top, cut to each coefficient's own p^prec below
+    top = max(x.prec for x in coeffs)
     mat = []
     for r in range(h):
+        rows = _frobenius_rows(ctx, r, top)[1] if r else None
         row = []
-        rr = r if r >= 1 else h
         for c in range(h):
-            lam = frobenius(a.coeffs[(c - r) % h], r)
-            if c >= 1 and rr > c:
-                lam = scalar_mul_int(lam, ctx.p)
-            row.append(lam)
+            i = (c - r) % h
+            lam, pn = coeffs[i], pns[i]
+            k = p if c and (r == 0 or r > c) else 1
+            v = lam.coords
+            if rows:
+                v = [sum(map(mul, m, v)) for m in rows]
+            elif k == 1:
+                row.append(lam)
+                continue
+            row.append(PadicScalar(ctx, tuple([x * k % pn for x in v]), lam.prec))
         mat.append(row)
     return mat
 
 
 def mat_mul(A: list[list[PadicScalar]], B: list[list[PadicScalar]]) -> list[list[PadicScalar]]:
+    """A @ B, one packed dot product and one reduction per entry.
+
+    Entry (r, c) has the least precision of row r of A and column c of B.
+    """
     n = len(A)
+    if not n:
+        return []
+    ctx = A[0][0].ctx
+    if not ctx.same_ring(B[0][0].ctx):
+        raise ContextMismatchError("mat_mul: matrices over different rings")
+    p, e, modulus = ctx.p, ctx.e, ctx.modulus
+    top = max(x.prec for M in (A, B) for row in M for x in row)
+    width = (n * e * (p ** top - 1) ** 2).bit_length()
+    rows = [[_pack(x.coords, width) for x in row] for row in A]
+    cols = [[_pack(x.coords, width) for x in col] for col in zip(*B)]
+    row_precs = [min(x.prec for x in row) for row in A]
+    col_precs = [min(x.prec for x in col) for col in zip(*B)]
     out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = scalar_mul(A[r][0], B[0][c])
-            for k in range(1, n):
-                acc = scalar_add(acc, scalar_mul(A[r][k], B[k][c]))
-            row.append(acc)
-        out.append(row)
+    for row, qr in zip(rows, row_precs):
+        out_row = []
+        for col, qc in zip(cols, col_precs):
+            q = min(qr, qc)
+            coords = _unpack_reduce(sum(map(mul, row, col)), width, modulus, e, p ** q)
+            out_row.append(PadicScalar(ctx, coords, q))
+        out.append(out_row)
     return out
 
 

@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .divalg import DivElem, j_embed
-from .linalg import KernelResult, kernel_basis, pivot_divider
+from .divalg import DivElem, div_one, j_embed
+from .linalg import KernelResult, determinant, kernel_basis, pivot_divider
 from .padics import (
     NonUnitError,
     PadicScalar,
@@ -371,7 +371,6 @@ def sample_parabolic(ctx: UnramContext, h: int, rng) -> list[list[PadicScalar]]:
 def in_parabolic(a: list[list[PadicScalar]], p: int) -> bool:
     """Membership in P: GL_h(o_h) with subdiagonal and a_{0k} entries in p o_h."""
     h = len(a)
-    from .linalg import determinant
     for i in range(h):
         for j in range(h):
             v = a[i][j].valuation()
@@ -454,7 +453,6 @@ def lie_derived_operator(delta: DivElem, x: Section) -> Section:
 def one_plus_scaled(delta: DivElem, k: int) -> DivElem:
     """1 + p^k delta, an element of Gamma_k."""
     ctx = delta.ctx
-    from .divalg import div_one
     one = div_one(ctx)
     return DivElem(ctx, tuple(
         scalar_add(o, scalar_mul_int(d, ctx.p ** k))

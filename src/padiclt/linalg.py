@@ -25,6 +25,7 @@ for the returned basis.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .padics import (
@@ -34,10 +35,10 @@ from .padics import (
     UnramContext,
     _coords_mul,
     _coords_valuation,
-    scalar_add,
+    _pack,
+    _unpack_reduce,
     scalar_inv,
     scalar_mul,
-    scalar_neg,
     scalar_sub,
 )
 
@@ -198,17 +199,42 @@ def kernel_basis(rows: list[list[PadicScalar]], ncols: int, ctx: UnramContext,
 def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScalar:
     """Division-free determinant by expansion over column subsets.
 
-    O(2^n n) scalar operations; exact at the input precision.  Fine for the
-    desk-scale h x h matrices this package manipulates.
+    The value of each state, the minor on the first |S| rows and the columns
+    of S, has the one precision q of the result, the least precision of any
+    entry.  Entries are reduced mod p^q and packed once (padics._pack), with
+    (-v) mod p^q packed for the terms that enter with a minus sign, so no
+    slot goes negative.  Each level of the expansion sums, per new subset,
+    the packed products of the states it extends with their new entries, at
+    most n of them, and reduces that sum once mod (Phi, p^q): 2^n - 1
+    reductions in all.  A slot of one product stays at most e (p^q - 1)^2,
+    so W = (n e (p^q - 1)^2).bit_length() bits hold any sum without a carry.
+    Reduction mod (Phi, p^q) is a ring map, so the result equals one
+    scalar_mul and one scalar_add per term at precision q, coordinates and
+    precision both.
     """
     n = len(matrix)
-    prec = min(x.prec for row in matrix for x in row) if n else ctx.N
-    # dp over subsets of columns: value of the minor on the first popcount(S) rows
-    dp = {0: ctx.one().at_precision(prec)}
-    for _ in range(n):
-        ndp: dict[int, PadicScalar] = {}
+    if not n:
+        return ctx.one()
+    p, e, modulus = ctx.p, ctx.e, ctx.modulus
+    q = min(x.prec for row in matrix for x in row)
+    pq = p ** q
+    width = (n * e * (pq - 1) ** 2).bit_length()
+    # (+v, -v) mod p^q, packed, of every entry
+    signed = []
+    for row in matrix:
+        out = []
+        for x in row:
+            if x.ctx is not ctx and not x.ctx.same_ring(ctx):
+                raise ContextMismatchError("determinant: entry from another ring")
+            out.append((_pack([v % pq for v in x.coords], width),
+                        _pack([-v % pq for v in x.coords], width)))
+        signed.append(out)
+    # dp over subsets of columns: coordinates of the minor on the first popcount(S) rows
+    dp = {0: (1 % pq,) + (0,) * (e - 1)}
+    for r in range(n):
+        sums: dict[int, int] = defaultdict(int)
         for subset, val in dp.items():
-            r = bin(subset).count("1")
+            packed = _pack(val, width)
             count_less = 0
             for c in range(n):
                 bit = 1 << c
@@ -216,10 +242,6 @@ def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScal
                     count_less += 1
                     continue
                 # inserting (row r, col c) adds r - count_less inversions
-                term = scalar_mul(val, matrix[r][c])
-                if (r - count_less) % 2:
-                    term = scalar_neg(term)
-                key = subset | bit
-                ndp[key] = scalar_add(ndp[key], term) if key in ndp else term
-        dp = ndp
-    return dp[(1 << n) - 1]
+                sums[subset | bit] += packed * signed[r][c][(r - count_less) % 2]
+        dp = {s: _unpack_reduce(x, width, modulus, e, pq) for s, x in sums.items()}
+    return PadicScalar(ctx, dp[(1 << n) - 1], q)

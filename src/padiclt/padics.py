@@ -297,6 +297,30 @@ def _coords_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...]
     return _reduce_poly([c % pn for c in prod], modulus, e, pn)
 
 
+def _pack(coords, width: int) -> int:
+    """sum_i coords[i] 2^(i width): the low coordinate in the low slot.
+
+    The product of two packed coordinate tuples of length e holds the 2e-1
+    coordinates of their unreduced polynomial product in x, one per slot, as
+    long as no slot of it (or of a sum of such products) reaches 2^width.
+    """
+    x = 0
+    for v in reversed(coords):
+        x = (x << width) + v
+    return x
+
+
+def _unpack_reduce(x: int, width: int, modulus: tuple[int, ...], e: int,
+                   pn: int) -> tuple[int, ...]:
+    """Coordinates mod (Phi, pn) of the packed 2e-1 slot polynomial x (see _pack)."""
+    mask = (1 << width) - 1
+    slots = []
+    for _ in range(2 * e - 1):
+        slots.append((x & mask) % pn)
+        x >>= width
+    return _reduce_poly(slots, modulus, e, pn)
+
+
 def scalar_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:
     _check_ctx(a, b)
     ctx = a.ctx

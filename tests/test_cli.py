@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -104,3 +105,16 @@ def test_timings_flag_included_when_requested():
     rep = run(ExperimentConfig("gm-identities", p=3))
     with_t = json.loads(emit(rep, "json", with_timings=True))
     assert all("runtime_ms" in c for c in with_t["checks"])
+
+
+def test_check_runtimes_fit_in_the_run():
+    # these experiments time several checks from one start; each record's
+    # runtime must begin where the previous one ended, so none is counted twice
+    for name, kw in (("j-homomorphism", dict(p=3, h=2)), ("fn-sequence", dict(p=3, Dmax=6)),
+                     ("vs-stability", dict(p=3)), ("period-convergence", dict(p=2, nmax=4))):
+        t0 = time.perf_counter()
+        rep = run(ExperimentConfig(name, **kw))
+        wall_ms = (time.perf_counter() - t0) * 1000
+        checks = json.loads(emit(rep, "json", with_timings=True))["checks"]
+        assert len(checks) >= 2 and rep.passed, name
+        assert sum(c["runtime_ms"] for c in checks) <= wall_ms, name

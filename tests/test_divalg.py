@@ -1,8 +1,22 @@
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padiclt.padics import NonUnitError, frobenius, make_context, scalar_mul, scalar_sub
+from padiclt.linalg import determinant
+from padiclt.padics import (
+    NonUnitError,
+    frobenius,
+    make_context,
+    scalar_add,
+    scalar_mul,
+    scalar_mul_int,
+    scalar_neg,
+    scalar_sub,
+)
 from padiclt.divalg import (
     J_COMPOSITION,
     DivElem,
@@ -165,27 +179,176 @@ def test_div_serialization():
     assert DivElem.from_json(CTX, a.to_json()) == a
 
 
+def _permutation_expansion(mat):
+    """sum over permutations of sign * prod_r mat[r][perm[r]], one scalar op per step."""
+    n = len(mat)
+    expect = None
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = mat[0][perm[0]]
+        for r in range(1, n):
+            term = scalar_mul(term, mat[r][perm[r]])
+        if sign < 0:
+            term = scalar_neg(term)
+        expect = term if expect is None else scalar_add(expect, term)
+    return expect
+
+
 def test_determinant_against_permutation_expansion():
-    import itertools
-
-    from padiclt.linalg import determinant
-    from padiclt.padics import scalar_add, scalar_neg
-
     rng = random.Random(12)
-    for _ in range(10):
-        n = rng.choice((2, 3))
-        mat = [[CTX.random_element(rng) for _ in range(n)] for _ in range(n)]
-        expect = None
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = mat[0][perm[0]]
-            for r in range(1, n):
-                term = scalar_mul(term, mat[r][perm[r]])
-            if sign < 0:
-                term = scalar_neg(term)
-            expect = term if expect is None else scalar_add(expect, term)
-        assert determinant(mat, CTX) == expect
+    for ctx in (CTX, make_context(2, 3, 32)):
+        for n in range(1, 6):
+            for _ in range(3):
+                mat = [[ctx.random_element(rng) for _ in range(n)] for _ in range(n)]
+                assert determinant(mat, ctx).key() == _permutation_expansion(mat).key()
+        # the permutation (0 1 2)(3 4) is odd
+        perm = (1, 2, 0, 4, 3)
+        mat = [[ctx.one() if c == perm[r] else ctx.zero() for c in range(5)] for r in range(5)]
+        assert determinant(mat, ctx).key() == ctx.from_int(-1).key()
+        assert _permutation_expansion(mat).key() == ctx.from_int(-1).key()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [8, 32])
+def test_nrd_lands_in_zp_as_a_multiplicative_unit(p, N):
+    rng = random.Random(13)
+    for h in range(1, 6):
+        ctx = make_context(p, h, N)
+        for _ in range(4):
+            a, b = sample_gamma(ctx, 0, rng), sample_gamma(ctx, 0, rng)
+            na = nrd(a)
+            assert not any(na.coords[1:]) and na.prec == N
+            assert na.valuation() == 0
+            assert nrd(div_mul(a, b)).key() == scalar_mul(na, nrd(b)).key()
+
+
+# ---------------------------------------------------------------------------
+# The scalar loops the packed j_embed, mat_mul and div_mul replaced, kept as
+# oracles: one PadicScalar operation per step.
+
+def _reference_div_mul(a, b):
+    ctx = a.ctx
+    h = ctx.e
+    out = [ctx.zero() for _ in range(h)]
+    for i, ai in enumerate(a.coeffs):
+        if ai.is_zero_at_precision():
+            continue
+        for j, bj in enumerate(b.coeffs):
+            if bj.is_zero_at_precision():
+                continue
+            term = scalar_mul(ai, frobenius(bj, i))
+            k = i + j
+            if k >= h:
+                term = scalar_mul_int(term, ctx.p)
+                k -= h
+            out[k] = scalar_add(out[k], term)
+    return DivElem(ctx, tuple(out))
+
+
+def _reference_j_embed(a):
+    ctx = a.ctx
+    h = ctx.e
+    mat = []
+    for r in range(h):
+        row = []
+        rr = r if r >= 1 else h
+        for c in range(h):
+            lam = frobenius(a.coeffs[(c - r) % h], r)
+            if c >= 1 and rr > c:
+                lam = scalar_mul_int(lam, ctx.p)
+            row.append(lam)
+        mat.append(row)
+    return mat
+
+
+def _reference_mat_mul(A, B):
+    n = len(A)
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = scalar_mul(A[r][0], B[0][c])
+            for k in range(1, n):
+                acc = scalar_add(acc, scalar_mul(A[r][k], B[k][c]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+_context = functools.lru_cache(maxsize=None)(make_context)
+
+
+def _mat_key(mat):
+    return [[x.key() for x in row] for row in mat]
+
+
+def _random_coeff(ctx, rng, mixed):
+    """Zero, all coordinates p^q - 1 (the widest slot sums), or random, at
+    precision N or, if mixed, at a random precision."""
+    q = rng.randint(1, ctx.N) if mixed else ctx.N
+    kind = rng.random()
+    if kind < 0.2:
+        return ctx.zero().at_precision(q)
+    if kind < 0.4:
+        return ctx.from_coords([ctx.p ** q - 1] * ctx.e, q)
+    return ctx.random_element(rng, q)
+
+
+def _random_elem(ctx, rng, mixed):
+    return DivElem(ctx, tuple(_random_coeff(ctx, rng, mixed) for _ in range(ctx.e)))
+
+
+def _assert_layer_matches_reference(a, b):
+    assert div_mul(a, b).key() == _reference_div_mul(a, b).key()
+    ja, jb = j_embed(a), j_embed(b)
+    assert _mat_key(ja) == _mat_key(_reference_j_embed(a))
+    assert _mat_key(mat_mul(ja, jb)) == _mat_key(_reference_mat_mul(ja, jb))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.sampled_from([1, 8, 32]),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_div_layer_matches_reference(p, h, N, mixed, seed):
+    ctx = _context(p, h, N)
+    rng = random.Random(seed)
+    a, b = _random_elem(ctx, rng, mixed), _random_elem(ctx, rng, mixed)
+    _assert_layer_matches_reference(a, b)
+    # matrices that are not embeddings: mixed precision along rows and columns
+    n = rng.randint(1, 5)
+    A, B = ([[_random_coeff(ctx, rng, mixed) for _ in range(n)] for _ in range(n)]
+            for _ in range(2))
+    assert _mat_key(mat_mul(A, B)) == _mat_key(_reference_mat_mul(A, B))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [1, 8, 32])
+def test_div_layer_matches_reference_at_the_widest_slot_sums(p, N):
+    """Inputs that reach the slot-width bound exactly, so one bit less carries."""
+    for h in range(1, 6):
+        ctx = _context(p, h, N)
+        top = ctx.from_coords([p ** N - 1] * h)
+        # b_j = sigma^j(top) makes every wrapped term of coefficient 0 top * top
+        a = DivElem(ctx, (top,) * h)
+        b = DivElem(ctx, tuple(frobenius(top, j) for j in range(h)))
+        _assert_layer_matches_reference(a, b)
+        full = [[top] * h for _ in range(h)]
+        assert _mat_key(mat_mul(full, full)) == _mat_key(_reference_mat_mul(full, full))
+
+
+def test_div_layer_precisions_pinned():
+    ctx = make_context(3, 3, 8)
+    x, y = ctx.from_int(2, 5), ctx.from_int(4, 7)
+    a = DivElem(ctx, (x, ctx.zero().at_precision(2), ctx.one()))
+    b = DivElem(ctx, (y, ctx.zero(), ctx.one().at_precision(6)))
+    # a zero coefficient adds no pair, so none of its precision
+    assert [c.prec for c in div_mul(a, b).coeffs] == [5, 6, 5]
+    assert [[c.prec for c in row] for row in j_embed(a)] == [[5, 2, 8], [8, 5, 2], [2, 8, 5]]
+    A, B = j_embed(a), j_embed(b)
+    assert [[c.prec for c in row] for row in mat_mul(A, B)] == [[2] * 3] * 3
+    B = [[y] * 3, [ctx.one()] * 3, [ctx.one().at_precision(6)] * 3]
+    C = [[ctx.one()] * 3, [x, ctx.one(), ctx.one()], [ctx.one()] * 3]
+    assert [[c.prec for c in row] for row in mat_mul(C, B)] == [[6] * 3, [5] * 3, [6] * 3]

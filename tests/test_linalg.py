@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padiclt.domain as domain
-from padiclt.linalg import KernelResult, divide_by_pivot, kernel_basis
+from padiclt.linalg import KernelResult, determinant, divide_by_pivot, kernel_basis
 from padiclt.padics import (
     ContextMismatchError,
     make_context,
@@ -159,3 +159,67 @@ def test_kernel_basis_rejects_other_ring():
     other = make_context(3, 2, 8)
     with pytest.raises(ContextMismatchError):
         kernel_basis([[ctx.one(), other.one()]], 2, ctx, 8)
+
+
+def _reference_determinant(matrix, ctx):
+    """The column-subset expansion with one scalar_mul and one scalar_add per term."""
+    n = len(matrix)
+    prec = min(x.prec for row in matrix for x in row) if n else ctx.N
+    dp = {0: ctx.one().at_precision(prec)}
+    for _ in range(n):
+        ndp = {}
+        for subset, val in dp.items():
+            r = bin(subset).count("1")
+            count_less = 0
+            for c in range(n):
+                bit = 1 << c
+                if subset & bit:
+                    count_less += 1
+                    continue
+                term = scalar_mul(val, matrix[r][c])
+                if (r - count_less) % 2:
+                    term = scalar_neg(term)
+                key = subset | bit
+                ndp[key] = scalar_add(ndp[key], term) if key in ndp else term
+        dp = ndp
+    return dp[(1 << n) - 1]
+
+
+def _random_entry(ctx, rng, mixed):
+    """Zero, all coordinates p^q - 1, or random, at precision N or a random one."""
+    q = rng.randint(1, ctx.N) if mixed else ctx.N
+    kind = rng.random()
+    if kind < 0.2:
+        return ctx.zero().at_precision(q)
+    if kind < 0.4:
+        return ctx.from_coords([ctx.p ** q - 1] * ctx.e, q)
+    return ctx.random_element(rng, q)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.sampled_from([1, 8, 32]),
+       st.integers(0, 5), st.booleans(), st.integers(0, 2 ** 32))
+def test_determinant_matches_reference(p, e, N, n, mixed, seed):
+    ctx = make_context(p, e, N)
+    rng = random.Random(seed)
+    mat = [[_random_entry(ctx, rng, mixed) for _ in range(n)] for _ in range(n)]
+    assert determinant(mat, ctx).key() == _reference_determinant(mat, ctx).key()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_determinant_matches_reference_at_the_widest_slot_sum(p):
+    # det [[t, t], [u, t]] = t^2 - t u, with t all coordinates p^N - 1 and u all
+    # coordinates 1: both terms put e (p^N - 1)^2 into the middle slot, the bound
+    for e in range(1, 6):
+        for N in (1, 8, 32):
+            ctx = make_context(p, e, N)
+            t, u = ctx.from_coords([p ** N - 1] * e), ctx.from_coords([1] * e)
+            mat = [[t, t], [u, t]]
+            assert determinant(mat, ctx).key() == _reference_determinant(mat, ctx).key()
+
+
+def test_determinant_of_empty_matrix_and_other_ring():
+    ctx = make_context(3, 2, 6)
+    assert determinant([], ctx).key() == ctx.one().key()
+    with pytest.raises(ContextMismatchError):
+        determinant([[make_context(5, 2, 6).one()]], ctx)
