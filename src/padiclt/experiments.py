@@ -40,6 +40,10 @@ class ConfigInvalidError(ValueError):
 
 SCHEMA_VERSION = 1
 
+# Size budgets: the largest work a run may ask for (h = 5 fits both).
+LIE_BRACKET_TRIALS = 200_000   # h = 5: 157,500 trials; h = 6: 653,184
+KERNEL_COLUMNS = 1_000         # monomials of degree <= 8; h = 5: 495; h = 6: 1,287
+
 
 @dataclass
 class ExperimentConfig:
@@ -373,28 +377,45 @@ def exp_lie_weights(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
-    ctx = make_context(cfg.p, cfg.h, cfg.N)
-    t0 = time.perf_counter()
+    """[x_ij, x_kl] = d_jk x_il - d_li x_kj on the monomial sections of degree <= 5.
+
+    Each operator image is computed once per section: the h^2 images x_b(x),
+    and x_a(x_b(x)) and x_b(x_a(x)) for each unordered pair {a, b}.  Every
+    section here is a monomial at precision N and lie_act keeps precision
+    and Dmax, so the identity is checked exactly with its negative terms
+    moved across: x_a x_b x + d_li x_kj x = x_b x_a x + d_jk x_il x.  The
+    trial (b, a) is the same equation with its sides swapped, so one
+    comparison decides both.
+
+    Size budget: 2 C(h+4, h-1) h^4 trials, at most LIE_BRACKET_TRIALS
+    (h <= 5); a larger h is a config error.
+    """
     h = cfg.h
+    needed = 2 * math.comb(h + 4, h - 1) * h ** 4
+    if needed > LIE_BRACKET_TRIALS:
+        raise ConfigInvalidError(
+            f"lie-bracket at h = {h} needs {needed} bracket trials; "
+            f"the budget is {LIE_BRACKET_TRIALS} (h <= 5)")
+    rec = _Recorder(cfg)
+    ctx = make_context(cfg.p, h, cfg.N)
+    t0 = time.perf_counter()
     ops = [(i, j) for i in range(h) for j in range(h)]
     ok, trials = 0, 0
     for s in (0, 2):
-        zero = Section(DomainFunc(ctx, h, 7), s)
         for e in monomials(h, 5):
             x = monomial_section(ctx, h, 7, e, s)
-            for (i, j) in ops:
-                for (k, l) in ops:
-                    lhs = lie_act(i, j, lie_act(k, l, x)).sub(
-                        lie_act(k, l, lie_act(i, j, x)))
-                    rhs = zero
-                    if j == k:
-                        rhs = rhs.add(lie_act(i, l, x))
-                    if l == i:
-                        rhs = rhs.sub(lie_act(k, j, x))
-                    trials += 1
+            first = {b: lie_act(*b, x) for b in ops}
+            for n, a in enumerate(ops):
+                for b in ops[n:]:
+                    (i, j), (k, l) = a, b
+                    ab = lie_act(i, j, first[b])
+                    ba = lie_act(k, l, first[a]) if b != a else ab
+                    lhs = ab.add(first[k, j]) if l == i else ab
+                    rhs = ba.add(first[i, l]) if j == k else ba
+                    pair = 1 if b == a else 2
+                    trials += pair
                     if lhs.eq(rhs):
-                        ok += 1
+                        ok += pair
     rec.add("gl-bracket", "[x_ij, x_kl] = d_jk x_il - d_li x_kj on sections",
             ok == trials, {"trials": trials, "ok": ok}, t0)
     return rec.records
@@ -460,25 +481,22 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
     t0 = time.perf_counter()
     dmax = cfg.Dmax
     d = 2
+    nmax = 10
     ok, trials = 0, 0
-    stab_ok, stab_trials = 0, 0
+    tails = []  # per twist: the (closed form, f_n) pairs the second check compares, and deg_d
     for s in (-1, 0, 2):
         terms = {e: ctx.random_element(rng) for e in monomials(cfg.h, dmax) if sum(e) >= d}
         f0 = DomainFunc(ctx, cfg.h, dmax, terms)
         if not any(sum(e) == d for e in f0.terms):
             f0 = f0.add(domain_monomial(ctx, cfg.h, dmax, (d,) + (0,) * (cfg.h - 2),
                                         ctx.random_unit(rng)))
-        nmax = 10
         recs, closed = fn_sequence(f0, d, s, nmax)
         for a, b in zip(recs, closed):
             trials += 1
             if a.eq(b):
                 ok += 1
         deg_d = DomainFunc(ctx, cfg.h, dmax, {e: c for e, c in f0.terms.items() if sum(e) == d})
-        for n in range(dmax - d, nmax + 1):
-            stab_trials += 1
-            if closed[n].eq(deg_d) and recs[n].eq(deg_d):
-                stab_ok += 1
+        tails.append(([(closed[n], recs[n]) for n in range(dmax - d, nmax + 1)], deg_d))
         # homogeneous input is fixed
         trials += 1
         hom_rec, hom_closed = fn_sequence(deg_d, d, s, 3)
@@ -487,6 +505,14 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
     rec.add("recursion-equals-closed-form",
             "f_n = (1/n)((d+n-s) f_{n-1} + x_00 f_{n-1}) matches (-1)^n C(i-1,n) scaling",
             ok == trials, {"comparisons": trials, "ok": ok}, t0)
+
+    t0 = time.perf_counter()
+    stab_ok, stab_trials = 0, 0
+    for tail, deg_d in tails:
+        for closed_n, rec_n in tail:
+            stab_trials += 1
+            if closed_n.eq(deg_d) and rec_n.eq(deg_d):
+                stab_ok += 1
     rec.add("stabilizes-to-lowest-slice",
             "f_n equals the degree-d part once n >= Dmax - d",
             stab_ok == stab_trials, {"comparisons": stab_trials, "ok": stab_ok}, t0)
@@ -499,10 +525,10 @@ def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
     rng = random.Random(cfg.seed)
     t0 = time.perf_counter()
     ok, trials = 0, 0
-    dims_ok = True
+    bases = []
     for s in range(0, 6):
         basis = [e for e in monomials(cfg.h, s)]
-        dims_ok = dims_ok and len(basis) == math.comb(s + cfg.h - 1, cfg.h - 1)
+        bases.append(basis)
         for e in basis:
             g = sample_gamma(ctx, 0, rng)
             y = gamma_act(g, monomial_section(ctx, cfg.h, s + 2, e, s))
@@ -511,6 +537,10 @@ def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
                 ok += 1
     rec.add("gamma-stabilizes-Vs", "gamma(w^a phi_0^s) stays in V_s for |a| <= s",
             ok == trials, {"trials": trials, "ok": ok}, t0)
+
+    t0 = time.perf_counter()
+    dims_ok = all(len(basis) == math.comb(s + cfg.h - 1, cfg.h - 1)
+                  for s, basis in enumerate(bases))
     rec.add("Vs-dimension", "dim V_s = C(s+h-1, h-1)",
             dims_ok, {"s_range": [0, 5]}, t0)
     return rec.records
@@ -551,9 +581,19 @@ def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
-    ctx = make_context(cfg.p, cfg.h, cfg.N)
+    """Kernels of systems of Lie operators on the monomials of degree <= 8.
+
+    Size budget: the largest system has C(h+7, h-1) monomial columns, at
+    most KERNEL_COLUMNS (h <= 5); a larger h is a config error.
+    """
     h = cfg.h
+    columns = math.comb(h + 7, h - 1)
+    if columns > KERNEL_COLUMNS:
+        raise ConfigInvalidError(
+            f"kernels at h = {h} needs {columns} monomial columns; "
+            f"the budget is {KERNEL_COLUMNS} (h <= 5)")
+    rec = _Recorder(cfg)
+    ctx = make_context(cfg.p, h, cfg.N)
     const = tuple([0] * (h - 1))
 
     t0 = time.perf_counter()

@@ -333,16 +333,6 @@ def scalar_mul_int(a: PadicScalar, k: int) -> PadicScalar:
     return PadicScalar(a.ctx, tuple((c * k) % pn for c in a.coords), a.prec)
 
 
-def scalar_arith(op: str, a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    if op == "add":
-        return scalar_add(a, b)
-    if op == "sub":
-        return scalar_sub(a, b)
-    if op == "mul":
-        return scalar_mul(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _residue_inverse(a: PadicScalar) -> PadicScalar:
     """Inverse of the residue of `a` in F_{p^e}, via extended Euclid in F_p[x]."""
     ctx = a.ctx

@@ -1,8 +1,10 @@
 import json
+import math
 import time
 
 import pytest
 
+from padiclt import experiments
 from padiclt.cli import main
 from padiclt.experiments import (
     EXPERIMENTS,
@@ -12,6 +14,7 @@ from padiclt.experiments import (
     emit,
     run,
 )
+from padiclt.series import TruncSeries
 
 
 def test_list_names_cover_the_registry(capsys):
@@ -45,6 +48,12 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["run", "reachability", "--h", "1"]) == 2
     with pytest.raises(ConfigInvalidError):
         run(ExperimentConfig("reachability", h=1))
+    # sizes beyond an experiment's budget exit 2 before any work, not hang
+    for name in ("lie-bracket", "kernels"):
+        assert main(["run", name, "--h", "12"]) == 2, name
+        assert main(["run", name, "--h", "6"]) == 2, name
+        with pytest.raises(ConfigInvalidError, match="budget"):
+            run(ExperimentConfig(name, h=12, Dmax=40))
 
 
 def test_zero_trial_checks_fail(capsys):
@@ -118,3 +127,27 @@ def test_check_runtimes_fit_in_the_run():
         checks = json.loads(emit(rep, "json", with_timings=True))["checks"]
         assert len(checks) >= 2 and rep.passed, name
         assert sum(c["runtime_ms"] for c in checks) <= wall_ms, name
+
+
+def test_second_check_runtime_covers_its_comparisons(monkeypatch):
+    # each comparison sleeps; a check timed apart from the first one must
+    # report at least the sleeps of its own comparisons
+    sleep_s = 0.002
+
+    def slow(fn):
+        def wrapped(*args):
+            time.sleep(sleep_s)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(TruncSeries, "eq", slow(TruncSeries.eq))
+    rep = run(ExperimentConfig("fn-sequence", p=3, h=2, Dmax=6))
+    second = rep.checks[1]
+    assert second.check_id == "stabilizes-to-lowest-slice" and rep.passed
+    assert second.runtime_ms >= second.measured["comparisons"] * sleep_s * 1000
+
+    monkeypatch.setattr(experiments.math, "comb", slow(math.comb))
+    rep = run(ExperimentConfig("vs-stability", p=3, h=2))
+    second = rep.checks[1]
+    assert second.check_id == "Vs-dimension" and rep.passed
+    assert second.runtime_ms >= 6 * sleep_s * 1000  # one dimension per s in 0..5

@@ -1,0 +1,75 @@
+import math
+
+import pytest
+
+from padiclt import experiments
+from padiclt.domain import DomainFunc, Section, lie_act, monomial_section, monomials
+from padiclt.experiments import ExperimentConfig, run
+from padiclt.padics import make_context
+
+
+def _reference_lie_bracket(ctx, h, act):
+    """(trials, ok) of the gl-bracket check as one loop per ordered pair:
+    four compositions of `act`, a difference section and a right side built
+    from zero."""
+    ops = [(i, j) for i in range(h) for j in range(h)]
+    ok, trials = 0, 0
+    for s in (0, 2):
+        zero = Section(DomainFunc(ctx, h, 7), s)
+        for e in monomials(h, 5):
+            x = monomial_section(ctx, h, 7, e, s)
+            for (i, j) in ops:
+                for (k, l) in ops:
+                    lhs = act(i, j, act(k, l, x)).sub(act(k, l, act(i, j, x)))
+                    rhs = zero
+                    if j == k:
+                        rhs = rhs.add(act(i, l, x))
+                    if l == i:
+                        rhs = rhs.sub(act(k, j, x))
+                    trials += 1
+                    if lhs.eq(rhs):
+                        ok += 1
+    return trials, ok
+
+
+def _x12_doubled_at_a1_one(i, j, x):
+    """lie_act, but x_12 acts twice over on the terms with a_1 = 1."""
+    y = lie_act(i, j, x)
+    if (i, j) != (1, 2):
+        return y
+    f = x.func
+    part = DomainFunc(f.ctx, f.h, f.dmax, {a: c for a, c in f.terms.items() if a[0] == 1})
+    return y.add(lie_act(i, j, Section(part, x.twist)))
+
+
+def _x01_moved_up(i, j, x):
+    """lie_act, but each term of x_01's image lands on w_1 times its monomial."""
+    y = lie_act(i, j, x)
+    if (i, j) != (0, 1):
+        return y
+    f = y.func
+    moved = {(b[0] + 1,) + b[1:]: c for b, c in f.terms.items()}
+    return Section(DomainFunc(f.ctx, f.h, f.dmax, moved), y.twist)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("h", (1, 2, 3, 4))
+def test_bracket_check_matches_reference(h, p, monkeypatch):
+    ctx = make_context(p, h, 8)
+    cfg = ExperimentConfig("lie-bracket", p=p, h=h, N=8)
+    for act, broken_from_h in ((lie_act, None), (_x12_doubled_at_a1_one, 3),
+                               (_x01_moved_up, 2)):
+        monkeypatch.setattr(experiments, "lie_act", act)
+        (check,) = run(cfg).checks
+        want = _reference_lie_bracket(ctx, h, act)
+        assert (check.measured["trials"], check.measured["ok"]) == want, act.__name__
+        assert want[0] == 2 * math.comb(h + 4, h - 1) * h ** 4
+        broken = broken_from_h is not None and h >= broken_from_h
+        assert check.passed is not broken, act.__name__
+        assert (want[1] < want[0]) is broken, act.__name__
+
+
+def test_doubled_x12_fails_a_pinned_share_of_trials(monkeypatch):
+    monkeypatch.setattr(experiments, "lie_act", _x12_doubled_at_a1_one)
+    (check,) = run(ExperimentConfig("lie-bracket", p=3, h=3)).checks
+    assert check.measured == {"trials": 3402, "ok": 3276} and not check.passed
