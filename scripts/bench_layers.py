@@ -20,6 +20,9 @@ threshold and fails on no figure.
                             (p, h, N) = (3, 3, 8), Dmax=6
     domain.gamma_act_h4     the same at (p, h, N) = (3, 4, 8), Dmax=6, where the
                             Horner scheme of the substitution has a middle level
+    domain.substitution_data
+                            the substituted generators of a Gamma_1 element,
+                            (p, h, N) = (3, 3, 8), Dmax=6, without den_inv
     linalg.kernel_basis     the system of operator_kernel for x_01, x_02 at
                             (p, h, N) = (3, 3, 8), Dmax=8 (criterion 12's n-row kernel)
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
@@ -75,6 +78,13 @@ def _gamma_act(h: int = 3):
     gamma = sample_gamma(ctx, 1, rng)
     f = domain.random_domain_func(ctx, h, 6, rng)
     return lambda: domain.gamma_act(gamma, f)
+
+
+def _substitution_data():
+    ctx = make_context(3, 3, 8)
+    gamma = sample_gamma(ctx, 1, random.Random(1))
+    nums, den = domain._gamma_weights(gamma, 3, ctx, 6)
+    return lambda: domain._substitution_data(nums, den)
 
 
 def _kernel_basis():
@@ -146,6 +156,7 @@ LAYERS = {
     "domain.DomainFunc.mul": _domainfunc_mul,
     "domain.gamma_act": _gamma_act,
     "domain.gamma_act_h4": lambda: _gamma_act(4),
+    "domain.substitution_data": _substitution_data,
     "linalg.kernel_basis": _kernel_basis,
     "padics.frobenius": _frobenius,
     "domain.lie_act": _lie_act,

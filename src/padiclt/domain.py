@@ -21,9 +21,14 @@ A DomainFunc is a series.TruncSeries in h-1 variables over UnramRing(ctx):
 sums, scalings, powers, equality and products are the series ones, and each
 builds a DomainFunc again.  Products go through series._lazy_combine, which
 gives a product one absolute precision, the least of its inputs (see the
-series module docstring).  _apply_substitution evaluates f(P) by a Horner
-scheme in the generators, one call of it per step, and cuts the result to
-the least precision of f and the generators it substitutes.
+series module docstring).  _substitution_data divides the numerators by
+den = c0 (1 + eps) as (c0^-1 num) * 1/(1 + eps), so the unit c0^-1 scales h
+terms, not a dense series; den_inv itself is built only for a negative
+twist.  _apply_substitution evaluates f(P) by a Horner scheme in the
+generators, entirely on packed integers: one precision q for the whole
+substitution (the least precision of f and of the generators it
+substitutes), one slot width for all its steps, with the headroom of the
+reduction mod (Phi, p^q), and the generators packed once mod p^q.
 
 Each Lie operator is one monomial map: the (i,j) matrix unit (w_0 := 1) sends
 w^a to k w^(a - e_j + e_i), k = a_j for j != 0 and k = s - |a| for j = 0 (s
@@ -52,7 +57,17 @@ from .padics import (
     scalar_mul,
     scalar_mul_int,
 )
-from .series import TruncSeries, UnramRing, _lazy_combine, geometric_inverse
+from .series import (
+    TruncSeries,
+    UnramRing,
+    _pack_terms,
+    _products,
+    _reduce_packed,
+    _right,
+    _slot_width,
+    _unpack_terms,
+    geometric_inverse,
+)
 
 
 class NotInPError(ValueError):
@@ -222,20 +237,23 @@ def monomial_section(ctx, h, dmax, exp, s: int) -> Section:
     return Section(domain_monomial(ctx, h, dmax, exp), s)
 
 
-def _substitution_data(nums: list[DomainFunc],
-                       den: DomainFunc) -> tuple[list[DomainFunc], DomainFunc]:
-    """Substituted generators nums[i]/den, plus den_inv for twists.
+def _substitution_data(nums: list[DomainFunc], den: DomainFunc,
+                       inverse: bool = False) -> tuple[list[DomainFunc], DomainFunc | None]:
+    """Substituted generators nums[i]/den, plus den_inv if `inverse` asks for it.
 
-    den = c0 (1 + eps) with c0 a unit; the inverse is the geometric series
-    sum (-eps)^k, exact to the truncation since eps has positive degree.
+    den = c0 (1 + eps) with c0 a unit, and u = 1/(1 + eps) is the geometric
+    series sum (-eps)^k, exact to the truncation since eps has positive
+    degree.  nums[i]/den is (c0^-1 nums[i]) u: the unit c0^-1 scales the
+    h terms of a numerator, not the dense u.  den_inv = c0^-1 u is built only
+    on request (a negative twist), and is None otherwise.
     """
     c0 = den.coeff((0,) * den.nvars)
     if c0.valuation() != 0:
         raise NonUnitError("denominator constant term is not a unit")
     c0inv = scalar_inv(c0)
-    den_inv = geometric_inverse(den.scale(c0inv)).scale(c0inv)
-    gens = [num.mul(den_inv) for num in nums]
-    return gens, den_inv
+    u = geometric_inverse(den.scale(c0inv))
+    gens = [num.scale(c0inv).mul(u) for num in nums]
+    return gens, u.scale(c0inv) if inverse else None
 
 
 def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
@@ -248,47 +266,69 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
     the top exponent down, with one product by P_0 per step, also where no
     term has that exponent.  Each g_a is summed the same way in P_1, and so
     on; at the last variable a group sum_b c_b P_last^b takes the powers of
-    P_last, built once per call.  Each step is one _lazy_combine call over
-    the pairs (acc, P_i) and those of the level below; a level's last step
-    stays a list of pairs for the level above, so the outermost sum is one
-    call as well.
+    P_last, built once per call.  Each step is one series._products call
+    over the pairs (acc, P_i) and those of the level below, and one
+    series._reduce_packed; a level's last step stays a list of pairs for the
+    level above, so the outermost sum is one step as well.
 
     The result has one precision q: the least precision of any coefficient
-    of f and of any nonempty generator that a term of f substitutes.  It is
-    cut to q once at the end.  Every step works at a precision of at least
-    q, so the cut gives f(P) mod p^q exactly, as one flat sum over the terms
-    of f would.  The cut matters only for mixed inputs: a middle sum that
-    cancels to 0 at a low precision leaves no coefficient to carry it.
+    of f and of any nonempty generator that a term of f substitutes.  The
+    whole substitution runs mod p^q, on packed coordinates (see the series
+    module docstring): the generators and the powers of P_last are packed
+    once, every Horner sum stays a dict key -> packed int, and scalars and
+    exponent tuples are built only for the result.  Reduction mod p^q is a
+    ring map, so this is f(P) mod p^q exactly, as one flat sum over the
+    terms of f would give it.  One slot width serves every step.  At one
+    output key a step forms at most |P_i| products for a pair (acc, P_i), of
+    which it has at most one per level, and one for each pair (c, P_last^b),
+    of which it has at most Dmax + 1 (the terms of one last-level group); so
+    the sizes of the substituted generators plus Dmax + 1 bound every step,
+    the powers of P_last included.  The width adds the headroom of the
+    reduction mod (Phi, p^q) to that bound.
     """
     ctx, nvars, dmax = f.ctx, f.nvars, f.dmax
     if not f.terms:
         return f._build({}, filtered=True)
-    used = [gens[i] for i in range(nvars) if any(e[i] for e in f.terms)]
-    q = min(c.prec for g in (f, *used) for c in g.terms.values())
+    used = [i for i in range(nvars) if any(e[i] for e in f.terms)]
+    q = min(c.prec for g in (f, *(gens[i] for i in used)) for c in g.terms.values())
+    pn, modulus = ctx.p ** q, ctx.modulus
+    width = _slot_width((sum(len(gens[i].terms) for i in used) + dmax + 1)
+                        * ctx.e * (pn - 1) ** 2, ctx.e, pn)
+    stride = dmax + 1
+    top = stride ** nvars  # a key's degree digit
     const = (0,) * nvars
-    pows = [domain_const(ctx, f.h, dmax, ctx.one())]
-    for _ in range(max(e[-1] for e in f.terms) if nvars else 0):
-        pows.append(gens[-1] if len(pows) == 1 else pows[-1].mul(gens[-1]))
 
-    def pairs(terms: dict, i: int) -> list[tuple[dict, dict]]:
+    def left(packed: dict[int, int]) -> list[tuple[int, int, int]]:
+        return [(k // top, k, x) for k, x in packed.items()]
+
+    def step_sum(pairs: list) -> dict[int, int]:
+        return _reduce_packed(_products(pairs, dmax), width, modulus, ctx.e, pn)
+
+    packed = {i: _pack_terms(gens[i].terms, dmax, stride, width, pn) for i in used}
+    right = {i: _right(t) for i, t in packed.items()}
+    pows = [_right([(0, 0, 1)])]
+    for _ in range(max(e[-1] for e in f.terms) if nvars else 0):
+        pows.append(right[nvars - 1] if len(pows) == 1 else
+                    _right(left(step_sum([(packed[nvars - 1], pows[-1])]))))
+
+    def pairs(terms: dict, i: int) -> list:
         # pairs whose products sum to c * prod_{j >= i} P_j^e_j over the terms
         # c w^e of `terms`; the powers of P_0..P_{i-1} are the caller's
         if i >= nvars - 1:
-            return [({const: c}, pows[e[-1] if e else 0].terms) for e, c in terms.items()]
+            return [(_pack_terms({const: c}, dmax, stride, width, pn), pows[e[-1] if e else 0])
+                    for e, c in terms.items()]
         groups: dict[int, dict] = {}
         for e, c in terms.items():
             groups.setdefault(e[i], {})[e] = c
-        step: list[tuple[dict, dict]] = []
+        step: list = []
         for a in range(max(groups), -1, -1):
             if step:
-                step = [(_lazy_combine(ctx, nvars, dmax, step), gens[i].terms)]
+                step = [(left(step_sum(step)), right[i])]
             if a in groups:
                 step += pairs(groups[a], i + 1)
         return step
 
-    out = _lazy_combine(ctx, nvars, dmax, pairs(f.terms, 0))
-    if out and next(iter(out.values())).prec > q:
-        return f._build({e: c.at_precision(q) for e, c in out.items()})
+    out = _unpack_terms(step_sum(pairs(f.terms, 0)), ctx, nvars, stride, width, q)
     return f._build(out, filtered=True)
 
 
@@ -340,9 +380,9 @@ def gamma_act(gamma: DivElem, x: Section | DomainFunc, dmax: int | None = None):
     if dm != f.dmax:
         f = DomainFunc(ctx, h, dm, dict(f.terms))
     nums, den = _gamma_weights(gamma, h, ctx, dm)
-    gens, den_inv = _substitution_data(nums, den)
-    out = _apply_substitution(f, gens)
     s = x.twist
+    gens, den_inv = _substitution_data(nums, den, inverse=s < 0)
+    out = _apply_substitution(f, gens)
     if s > 0:
         out = out.mul(den.pow(s))
     elif s < 0:

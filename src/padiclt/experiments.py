@@ -43,6 +43,11 @@ SCHEMA_VERSION = 1
 # Size budgets: the largest work a run may ask for (h = 5 fits both).
 LIE_BRACKET_TRIALS = 200_000   # h = 5: 157,500 trials; h = 6: 653,184
 KERNEL_COLUMNS = 1_000         # monomials of degree <= 8; h = 5: 495; h = 6: 1,287
+# p-adic digits of the largest function the action experiments build, see
+# _check_action_budget; at N = 8, h <= 5 fits dheq-vs-matrix and action-law
+# and h <= 4 fits contraction and dist-norms, and action-law at h = 2 fits
+# N <= 68
+ACTION_DIGITS = 20_000
 
 
 @dataclass
@@ -165,6 +170,20 @@ class _Recorder:
             round((self._end - start) * 1000, 3)))
 
 
+def _check_action_budget(cfg: ExperimentConfig, degree: int) -> None:
+    """Reject a config whose largest function exceeds ACTION_DIGITS p-adic digits.
+
+    A function truncated at total degree `degree` has C(h-1+degree, h-1)
+    monomials, each coefficient e = h coordinates of N digits; the cost of
+    the substitution action grows with both the count and the width.
+    """
+    digits = math.comb(cfg.h - 1 + degree, cfg.h - 1) * cfg.h * cfg.N
+    if digits > ACTION_DIGITS:
+        raise ConfigInvalidError(
+            f"{cfg.experiment} at h = {cfg.h}, N = {cfg.N} builds functions of degree "
+            f"<= {degree} with {digits} p-adic digits; the budget is {ACTION_DIGITS}")
+
+
 # ---------------------------------------------------------------- experiments
 
 def exp_j_homomorphism(cfg: ExperimentConfig) -> list[CheckRecord]:
@@ -234,6 +253,12 @@ def _matrix_oracle_gens(gamma, ctx, h, dmax):
 
 
 def exp_dheq_vs_matrix(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """gamma(w_i) against the embedded matrix, and the P-action on 50 members of P.
+
+    Size budget: functions of degree <= 6, at most ACTION_DIGITS p-adic
+    digits (h <= 5 at N = 8); a larger config is a config error.
+    """
+    _check_action_budget(cfg, 6)
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -283,10 +308,17 @@ def exp_dheq_vs_matrix(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_action_law(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """gamma(gamma'(x)) = (gamma gamma')(x) and ||gamma(x)||_D = ||x||_D.
+
+    Size budget: functions of degree <= 6, and at h = 2 of degree <= 2N + 6
+    (the exact low-degree check), at most ACTION_DIGITS p-adic digits (h <= 5
+    at N = 8, N <= 68 at h = 2); a larger config is a config error.
+    """
+    dmax = 6
+    _check_action_budget(cfg, cfg.h * cfg.N + (cfg.h - 1) * dmax if cfg.h == 2 else dmax)
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
-    dmax = 6
 
     t0 = time.perf_counter()
     ok, trials = 0, 0
@@ -665,6 +697,15 @@ def exp_lf_diagnostic(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_contraction(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Gamma_n contracts vD(gamma f - f) by n h, and b^alpha by |alpha| n h.
+
+    Size budget: functions of degree <= 14 at h = 2 and <= 10 beyond, at
+    most ACTION_DIGITS p-adic digits (h <= 4 at N = 8); a larger config is a
+    config error.
+    """
+    # the second check's degree budget keeps the truncation floor above |alpha| n h
+    bdmax = 14 if cfg.h == 2 else 10
+    _check_action_budget(cfg, bdmax)
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     t0 = time.perf_counter()
@@ -692,8 +733,6 @@ def exp_contraction(cfg: ExperimentConfig) -> list[CheckRecord]:
     ok2, trials2 = 0, 0
     n = 1
     rng = random.Random(cfg.seed + 100)
-    # degree budget keeps the truncation floor above |alpha| n h
-    bdmax = 14 if cfg.h == 2 else 10
     for alpha in [(1, 0), (1, 1), (2, 1)]:
         for _ in range(2):
             gs = [sample_gamma(ctx, n, rng) for _ in range(2)]
@@ -985,6 +1024,15 @@ def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Norms of b-monomials, the signed expansion of (gamma - 1)^2, and two
+    evaluation orders of b^alpha on a section.
+
+    Size budget: functions of degree <= 2N + 5 at h = 2 and <= 12 beyond, at
+    most ACTION_DIGITS p-adic digits (h <= 4 at N = 8, N <= 69 at h = 2); a
+    larger config is a config error.
+    """
+    W = cfg.h * cfg.N + 5 if cfg.h == 2 else 12
+    _check_action_budget(cfg, W)
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -1013,7 +1061,6 @@ def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
             exp_ok, {}, t0)
 
     t0 = time.perf_counter()
-    W = cfg.h * cfg.N + 5 if cfg.h == 2 else 12
     f = random_domain_func(ctx, cfg.h, 4, rng)
     agree = True
     for alpha in [(1, 0), (1, 1), (2, 1)]:

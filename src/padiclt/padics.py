@@ -215,11 +215,17 @@ class PadicScalar:
         return f"PadicScalar({list(self.coords)} mod {self.ctx.p}^{self.prec})"
 
     def __eq__(self, other) -> bool:
-        """Equality at the minimum of the two precisions."""
+        """Equality at the minimum of the two precisions.
+
+        Every constructor path stores coordinates reduced mod p^prec, so at
+        one precision the coordinate tuples decide it.
+        """
         if not isinstance(other, PadicScalar):
             return NotImplemented
         if not self.ctx.same_ring(other.ctx):
             return False
+        if self.prec == other.prec:
+            return self.coords == other.coords
         n = min(self.prec, other.prec)
         pn = self.ctx.p ** n
         return all((a - b) % pn == 0 for a, b in zip(self.coords, other.coords))

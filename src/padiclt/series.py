@@ -9,28 +9,36 @@ polynomial quotients for torsion-point rings.  domain.DomainFunc is a
 TruncSeries over an unramified ring; every operation here builds a result
 of its operand's own type, so a DomainFunc stays one.
 
-This module owns the sparse product kernels: _lazy_mul over Z/p^N and
+This module owns the sparse product engine: _lazy_mul over Z/p^N and
 _lazy_combine over unramified coefficients (the quotient rings only serve
 pointwise evaluation, and a product of series over any other ring raises
-TypeError).  A monomial X^a is keyed by the int sum a_i (Dmax+1)^i.  The
+TypeError).  Both are built from three pieces, which domain's substitution
+uses too: _pack_terms keys the terms and packs their coefficients,
+_products is the one product loop, and _reduce_packed reduces packed sums
+mod (Phi, p^q).  A monomial X^a of degree d in n variables is keyed by the
+int d (Dmax+1)^n + sum a_i (Dmax+1)^i, the degree in the top digit.  The
 terms of the right factor are sorted by total degree, so for each left term
 the partners that stay within Dmax are a prefix found by bisection; every
-exponent of a kept pair is at most Dmax, so adding two keys never carries
-from one variable into the next.  Over Z/p^N each output key accumulates
-the plain integer sum of its products and is reduced once, `% p^N`:
-reduction mod p^N is a ring map from Z, so reducing the sum equals summing
-the reduced products.
+exponent and degree of a kept pair is at most Dmax, so adding two keys never
+carries from one digit into the next.  Over Z/p^N each output key
+accumulates the plain integer sum of its products and is reduced once,
+`% p^N`: reduction mod p^N is a ring map from Z, so reducing the sum equals
+summing the reduced products.
 
 _lazy_combine computes sum_k F_k * G_k over a list of pairs of term dicts
 without building a scalar per coefficient product.  A coefficient's e
-coordinates c_0..c_{e-1} are packed into one Python int sum c_i 2^(i W);
-the product of two packed ints then holds the 2e-1 coordinates of the
-unreduced polynomial product in x, one per W-bit slot.  Coordinates are
-reduced, so every slot of one product is below e p^(qa+qb), where qa and qb
-bound the precisions of the two factors; a call that forms P coefficient
-products sums at most P of them into one slot, which stays below
-e p^(qa+qb) P.  With W = (p^(qa+qb) e P).bit_length() + 1 no slot carries
-into the next, so packed products may be added freely.
+coordinates c_0..c_{e-1}, cut mod p^q, are packed into one Python int
+sum c_i 2^(i W); the product of two packed ints then holds the 2e-1
+coordinates of the unreduced polynomial product in x, one per W-bit slot,
+each at most e (p^q - 1)^2.  At one output key a pair (F, G) forms at most
+min(|F|, |G|) coefficient products, since a term of F meets at most one term
+of G there; with C the sum of these counts over the pairs, a slot of a sum
+stays at most S = C e (p^q - 1)^2.  _reduce_packed adds slot_d times the
+packed row x^d mod (Phi, p^q), d = e..2e-2, to the low e slots (the rows
+have entries below p^q and are cached per (Phi, p^q)), so a low slot stays
+at most S (1 + (e-1)(p^q - 1)), and then cuts each low slot mod p^q once.
+The width W is the bit length of that bound (_slot_width): no slot ever
+carries into the next, so packed products may be added freely.
 
 A product has one absolute precision q, the least precision of any
 coefficient of the pairs that take part (Caruso, Roe and Vaccon, "Tracking
@@ -41,12 +49,21 @@ is each product reduced and summed at precision q.  On inputs of one
 precision it is exactly the per-pair scalar loop; on mixed inputs the
 result claims no more precision than its least precise input, and no
 summation order can change it.
+
+domain._apply_substitution runs a whole substitution f(P) on these pieces,
+with one q for all its steps (the least precision of f and of the
+generators it substitutes) and one width, taken from the largest count C of
+any step.  It packs the generators and the powers of the last one once,
+keeps every Horner sum as a dict key -> packed int, and builds scalars and
+exponent tuples only for the result.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
+from functools import lru_cache
+from operator import attrgetter
 
 from .padics import (
     ContextMismatchError,
@@ -54,6 +71,7 @@ from .padics import (
     PrecisionLossError,
     UnramContext,
     _coords_mul,
+    _pack,
     _reduce_poly,
     scalar_add,
     scalar_inv,
@@ -410,37 +428,121 @@ def _lazy_mul(ring, nvars: int, dmax: int, a: dict, b: dict) -> dict:
     if not isinstance(ring, IntModRing):
         raise TypeError(f"series products need Z/p^N or unramified coefficients, not {ring!r}")
     stride = dmax + 1
-
-    def keyed(terms: dict) -> list[tuple[int, int, int]]:
-        # (degree, key, coefficient) of each term; a term above dmax has no
-        # partner within the bisection bound, so its key is never added
-        out = []
-        for exp, c in terms.items():
-            key = 0
-            for x in reversed(exp):
-                key = key * stride + x
-            out.append((sum(exp), key, c))
-        return out
-
-    right = sorted(keyed(b))
-    degs = [d for d, _, _ in right]
-    right = [(k, c) for _, k, c in right]
-    sums: dict[int, int] = defaultdict(int)
-    for d1, k1, c1 in keyed(a):
-        for k2, c2 in right[:bisect_right(degs, dmax - d1)]:
-            sums[k1 + k2] += c1 * c2
-
+    sums = _products([(_pack_terms(a, dmax, stride), _right(_pack_terms(b, dmax, stride)))],
+                     dmax)
     pN = ring.pN
     out = {}
     for k, v in sums.items():
         v %= pN
         if v:
-            exp = []
-            for _ in range(nvars):
-                k, x = divmod(k, stride)
-                exp.append(x)
-            out[tuple(exp)] = v
+            out[_exponent(k, nvars, stride)] = v
     return out
+
+
+def _pack_terms(terms: dict, dmax: int, stride: int, width: int = 0,
+                pn: int = 0) -> list[tuple[int, int, int]]:
+    """(degree, key, x) for each term within dmax; see the module docstring.
+
+    x is the coefficient itself when width is 0 (an int of Z/p^N), and else
+    the coordinates of the PadicScalar cut mod pn and packed at that width.
+    """
+    out = []
+    for exp, c in terms.items():
+        d = sum(exp)
+        if d <= dmax:
+            key = d
+            for a in reversed(exp):
+                key = key * stride + a
+            if width:
+                x = 0
+                for v in reversed(c.coords):
+                    x = (x << width) + v % pn
+                c = x
+            out.append((d, key, c))
+    return out
+
+
+def _right(packed: list[tuple[int, int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """A right factor for _products: its degrees and its (key, x), sorted by degree."""
+    packed = sorted(packed)
+    return [d for d, _, _ in packed], [(k, x) for _, k, x in packed]
+
+
+def _products(pairs: list, dmax: int) -> dict[int, int]:
+    """key -> the sum of x1 * x2 over the term pairs of `pairs` within dmax.
+
+    A pair is (left, right): left a list of (degree, key, x), right the
+    output of _right.  The partners of a left term that stay within dmax
+    are a prefix of right, found by bisection.
+    """
+    acc: dict[int, int] = defaultdict(int)
+    for left, (degs, right) in pairs:
+        for d1, k1, x1 in left:
+            for k2, x2 in right[:bisect_right(degs, dmax - d1)]:
+                acc[k1 + k2] += x1 * x2
+    return acc
+
+
+def _slot_width(slot: int, e: int, pn: int) -> int:
+    """Bits per slot for packed sums whose 2e-1 slots are at most `slot`,
+    with the headroom that _reduce_packed needs to fold the top e-1 slots
+    into the low e by rows with entries below pn."""
+    return (slot * (1 + (e - 1) * (pn - 1))).bit_length()
+
+
+def _reduce_packed(acc: dict[int, int], width: int, modulus: tuple[int, ...], e: int,
+                   pn: int) -> dict[int, int]:
+    """key -> the packed coordinates mod (Phi, pn) of each packed sum of acc.
+
+    Slot d of a sum is the coefficient of x^d, d < 2e-1.  Slot d >= e adds
+    slot_d times the packed row x^d mod (Phi, pn) to the low e slots, then
+    each low slot is cut mod pn once.  Sums that reduce to 0 are dropped.
+    """
+    mask = (1 << width) - 1
+    low = (1 << (e * width)) - 1
+    high = range(e * width, (2 * e - 1) * width, width)  # the shifts of slots e..2e-2
+    rows = [(s, _pack(row, width)) for s, row in zip(high, _phi_rows(modulus, pn))]
+    shifts = range(width, e * width, width)
+    out = {}
+    for k, v in acc.items():
+        x = v & low
+        for s, row in rows:
+            x += ((v >> s) & mask) * row
+        v = (x & mask) % pn
+        for s in shifts:
+            v |= ((x >> s) & mask) % pn << s
+        if v:
+            out[k] = v
+    return out
+
+
+@lru_cache(maxsize=None)
+def _phi_rows(modulus: tuple[int, ...], pn: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of x^d mod (Phi, pn) for d = e..2e-2, e = deg Phi."""
+    e = len(modulus) - 1
+    return tuple(_reduce_poly([0] * d + [1], modulus, e, pn) for d in range(e, 2 * e - 1))
+
+
+def _exponent(key: int, nvars: int, stride: int) -> tuple[int, ...]:
+    """The exponent tuple of a key; its degree digit is dropped."""
+    exp = []
+    for _ in range(nvars):
+        key, a = divmod(key, stride)
+        exp.append(a)
+    return tuple(exp)
+
+
+def _unpack_terms(packed: dict[int, int], ctx: UnramContext, nvars: int, stride: int,
+                  width: int, q: int) -> dict[tuple[int, ...], PadicScalar]:
+    """Exponent -> PadicScalar at precision q of each key -> packed coordinates."""
+    mask = (1 << width) - 1
+    shifts = range(0, ctx.e * width, width)
+    return {_exponent(k, nvars, stride):
+            PadicScalar(ctx, tuple([(x >> s) & mask for s in shifts]), q)
+            for k, x in packed.items()}
+
+
+_prec = attrgetter("prec")
 
 
 def _lazy_combine(ctx: UnramContext, nvars: int, dmax: int,
@@ -455,59 +557,25 @@ def _lazy_combine(ctx: UnramContext, nvars: int, dmax: int,
     pairs = [(F, G) for F, G in pairs if F and G]
     if not pairs:
         return {}
-    pf: set[int] = set()
-    pg: set[int] = set()
+    precs: set[int] = set()
     count = 0
     for F, G in pairs:
         cf, cg = next(iter(F.values())), next(iter(G.values()))
         if not cf.ctx.same_ring(cg.ctx):
             raise ContextMismatchError(
                 f"context mismatch: (p={cf.ctx.p}, e={cf.ctx.e}) vs (p={cg.ctx.p}, e={cg.ctx.e})")
-        pf.update(c.prec for c in F.values())
-        pg.update(c.prec for c in G.values())
-        count += len(F) * len(G)
-    q = min(*pf, *pg)
-
-    p, e = ctx.p, ctx.e
-    width = (p ** (max(pf) + max(pg)) * e * count).bit_length() + 1
+        precs.update(map(_prec, F.values()))
+        precs.update(map(_prec, G.values()))
+        count += min(len(F), len(G))
+    q = min(precs)
+    e = ctx.e
+    pn = ctx.p ** q
+    width = _slot_width(count * e * (pn - 1) ** 2, e, pn)
     stride = dmax + 1
-
-    def pack(terms: dict) -> list[tuple[int, int, int]]:
-        # (degree, key, packed coordinates) of the terms within dmax
-        out = []
-        for exp, c in terms.items():
-            d = sum(exp)
-            if d <= dmax:
-                key = x = 0
-                for a in reversed(exp):
-                    key = key * stride + a
-                for v in reversed(c.coords):
-                    x = (x << width) + v
-                out.append((d, key, x))
-        return out
-
-    acc: dict[int, int] = defaultdict(int)
-    for F, G in pairs:
-        right = sorted(pack(G))
-        degs = [d for d, _, _ in right]
-        right = [(k, x) for _, k, x in right]
-        for d1, k1, x1 in pack(F):
-            for k2, x2 in right[:bisect_right(degs, dmax - d1)]:
-                acc[k1 + k2] += x1 * x2
-
-    pn = p ** q
-    mask = (1 << width) - 1
-    shifts = range(0, (2 * e - 1) * width, width)
-    out = {}
-    for k, v in acc.items():
-        coords = _reduce_poly([((v >> s) & mask) % pn for s in shifts], ctx.modulus, e, pn)
-        if any(coords):
-            exp = []
-            for _ in range(nvars):
-                k, a = divmod(k, stride)
-                exp.append(a)
-            out[tuple(exp)] = PadicScalar(ctx, coords, q)
-    return out
+    acc = _products([(_pack_terms(F, dmax, stride, width, pn),
+                      _right(_pack_terms(G, dmax, stride, width, pn))) for F, G in pairs], dmax)
+    return _unpack_terms(_reduce_packed(acc, width, ctx.modulus, e, pn), ctx, nvars, stride,
+                         width, q)
 
 
 def coeff_repr(c):

@@ -56,6 +56,21 @@ def test_invalid_config_exits_2(tmp_path):
             run(ExperimentConfig(name, h=12, Dmax=40))
 
 
+def test_action_experiments_exit_2_beyond_their_budget():
+    # the p-adic digits of the largest function bound the action experiments
+    for name in ("dheq-vs-matrix", "action-law", "contraction", "dist-norms"):
+        assert main(["run", name, "--h", "12"]) == 2, name
+        with pytest.raises(ConfigInvalidError, match="budget"):
+            run(ExperimentConfig(name, h=12))
+    assert main(["run", "dheq-vs-matrix", "--h", "6"]) == 2
+    assert main(["run", "action-law", "--h", "6"]) == 2
+    assert main(["run", "contraction", "--h", "5"]) == 2
+    assert main(["run", "dist-norms", "--h", "5"]) == 2
+    # at h = 2 the exact low-degree checks truncate at degree 2N + 6 and 2N + 5
+    assert main(["run", "action-law", "--h", "2", "--N", "69"]) == 2
+    assert main(["run", "dist-norms", "--h", "2", "--N", "70"]) == 2
+
+
 def test_zero_trial_checks_fail(capsys):
     # at h=1 there is no domain variable, so the action checks count no trials
     rep = run(ExperimentConfig("dheq-vs-matrix", p=3, h=1))

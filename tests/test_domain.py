@@ -40,7 +40,7 @@ from padiclt.domain import (
     reach_span,
 )
 from padiclt.padics import frobenius
-from padiclt import linalg, padics, periods, series
+from padiclt import domain, linalg, padics, periods, series
 from padiclt.linalg import divide_by_pivot
 
 CTX2 = make_context(5, 2, 8)
@@ -629,6 +629,166 @@ def test_substitution_keeps_the_precision_of_a_cancelled_horner_group():
     flat = series._lazy_combine(ctx, 2, 4, [({(0, 0): c}, p0.pow(e[0]).mul(p1.pow(e[1])).terms)
                                             for e, c in f.terms.items()])
     _assert_identical(out, DomainFunc(ctx, 3, 4, flat))
+
+
+# --- the packed substitution against the bodies it replaced ----------------
+
+def _reference_substitution_data(nums: list[DomainFunc], den: DomainFunc):
+    """nums[i]/den and den_inv, with c0^-1 scaling the dense inverse."""
+    c0inv = scalar_inv(den.coeff((0,) * den.nvars))
+    den_inv = series.geometric_inverse(den.scale(c0inv)).scale(c0inv)
+    return [num.mul(den_inv) for num in nums], den_inv
+
+
+def _reference_horner(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
+    """f(P) by the Horner scheme with one _lazy_combine call per step, each at
+    its own precision, and the result cut to q once at the end."""
+    ctx, nvars, dmax = f.ctx, f.nvars, f.dmax
+    if not f.terms:
+        return f._build({}, filtered=True)
+    used = [gens[i] for i in range(nvars) if any(e[i] for e in f.terms)]
+    q = min(c.prec for g in (f, *used) for c in g.terms.values())
+    const = (0,) * nvars
+    pows = [domain_const(ctx, f.h, dmax, ctx.one())]
+    for _ in range(max(e[-1] for e in f.terms) if nvars else 0):
+        pows.append(gens[-1] if len(pows) == 1 else pows[-1].mul(gens[-1]))
+
+    def pairs(terms: dict, i: int) -> list:
+        if i >= nvars - 1:
+            return [({const: c}, pows[e[-1] if e else 0].terms) for e, c in terms.items()]
+        groups: dict = {}
+        for e, c in terms.items():
+            groups.setdefault(e[i], {})[e] = c
+        step: list = []
+        for a in range(max(groups), -1, -1):
+            if step:
+                step = [(series._lazy_combine(ctx, nvars, dmax, step), gens[i].terms)]
+            if a in groups:
+                step += pairs(groups[a], i + 1)
+        return step
+
+    out = series._lazy_combine(ctx, nvars, dmax, pairs(f.terms, 0))
+    if out and next(iter(out.values())).prec > q:
+        return f._build({e: c.at_precision(q) for e, c in out.items()})
+    return f._build(out, filtered=True)
+
+
+def _reference_gamma_act(gamma, x: Section) -> Section:
+    f, s = x.func, x.twist
+    nums, den = domain._gamma_weights(gamma, f.h, f.ctx, f.dmax)
+    gens, den_inv = _reference_substitution_data(nums, den)
+    out = _reference_horner(f, gens)
+    if s > 0:
+        out = out.mul(den.pow(s))
+    elif s < 0:
+        out = out.mul(den_inv.pow(-s))
+    return Section(out, s)
+
+
+def _extreme_func(ctx, h: int, dmax: int, q: int) -> DomainFunc:
+    """Every monomial of degree <= dmax with every coordinate p^q - 1, at precision q."""
+    top = ctx.p ** q - 1
+    return DomainFunc(ctx, h, dmax, {e: ctx.from_coords([top] * ctx.e, q)
+                                     for e in monomials(h, dmax)})
+
+
+_PACKED_CTX = {params: make_context(*params)
+               for params in ((2, 2, 6), (3, 2, 6), (5, 2, 6), (3, 3, 8), (2, 4, 5))}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_PACKED_CTX)), st.integers(0, 10 ** 6))
+def test_packed_substitution_matches_the_horner_oracle(params, seed):
+    # "extreme" makes every coordinate of f and of the generators p^q - 1,
+    # with dense generators, so each slot sum is as large as the inputs allow
+    ctx = _PACKED_CTX[params]
+    rng = random.Random(seed)
+    for h in range(2, 6):
+        for mode in ("uniform", "mixed", "extreme"):
+            dmax = rng.randint(0, 7 - h)
+            if mode == "extreme":
+                q = rng.randint(1, ctx.N)
+                f = _extreme_func(ctx, h, dmax, q)
+                gens = [_extreme_func(ctx, h, dmax, q) for _ in range(h - 1)]
+            else:
+                f = random_domain_func(ctx, h, dmax, rng)
+                gens = [random_domain_func(ctx, h, dmax, rng) for _ in range(h - 1)]
+                if mode == "mixed":
+                    f = _mixed_precision(f, rng, 1)
+                    gens = [_mixed_precision(g, rng, 1) for g in gens]
+            _assert_identical(_apply_substitution(f, gens), _reference_horner(f, gens))
+
+
+_GAMMA_CTX = {h: make_context(3 if h < 5 else 2, h, 6) for h in range(2, 6)}
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_gamma_act_matches_the_reference_path(seed, mixed):
+    # the whole twisted action, c0^-1 on the numerators and the packed
+    # substitution, against the bodies they replaced; den_inv is built only
+    # when asked for, and equals the old one then
+    rng = random.Random(seed)
+    for h in range(2, 6):
+        ctx = _GAMMA_CTX[h]
+        for s in (-2, 0, 3):
+            dmax = rng.randint(1, 7 - h)
+            gamma = sample_gamma(ctx, rng.randint(0, 2), rng)
+            f = random_domain_func(ctx, h, dmax, rng)
+            if mixed:
+                f = _mixed_precision(f, rng, 1)
+            got = gamma_act(gamma, Section(f, s))
+            want = _reference_gamma_act(gamma, Section(f, s))
+            assert got.twist == want.twist == s
+            _assert_identical(got.func, want.func)
+            nums, den = domain._gamma_weights(gamma, h, ctx, dmax)
+            gens, den_inv = domain._substitution_data(nums, den, inverse=True)
+            ref_gens, ref_inv = _reference_substitution_data(nums, den)
+            for g, r in zip(gens, ref_gens):
+                _assert_identical(g, r)
+            _assert_identical(den_inv, ref_inv)
+            assert domain._substitution_data(nums, den)[1] is None
+
+
+def test_substitution_data_with_mixed_precision_coefficients():
+    # numerators and denominator whose coefficients have different
+    # precisions: scaling the numerators instead of the inverse keeps q
+    rng = random.Random(24)
+    for h in (2, 3, 4):
+        ctx = _GAMMA_CTX[h]
+        for _ in range(6):
+            gamma = sample_gamma(ctx, rng.randint(0, 1), rng)
+            nums, den = domain._gamma_weights(gamma, h, ctx, 4)
+            nums = [_mixed_precision(g, rng, 2) for g in nums]
+            den = _mixed_precision(den, rng, 2)
+            gens, den_inv = domain._substitution_data(nums, den, inverse=True)
+            ref_gens, ref_inv = _reference_substitution_data(nums, den)
+            for g, r in zip(gens, ref_gens):
+                _assert_identical(g, r)
+            _assert_identical(den_inv, ref_inv)
+
+
+_REDUCTION_CTX = {(p, e): make_context(p, e, 8) for p in (2, 3, 5) for e in range(1, 6)}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 10 ** 6))
+def test_packed_reduction_matches_reduce_poly(q, count, seed):
+    # a packed sum of `count` products of coordinates below p^q, once with
+    # every slot at the largest value the slot width allows for and once
+    # with random slots below it, against the reduction one degree at a time
+    rng = random.Random(seed)
+    for (p, e), ctx in _REDUCTION_CTX.items():
+        pn = p ** q
+        top = count * e * (pn - 1) ** 2
+        width = series._slot_width(top, e, pn)
+        mask = (1 << width) - 1
+        for slots in ([top] * (2 * e - 1), [rng.randint(0, top) for _ in range(2 * e - 1)]):
+            got = series._reduce_packed({5: padics._pack(slots, width), 9: 0}, width,
+                                        ctx.modulus, e, pn)
+            want = padics._reduce_poly([v % pn for v in slots], ctx.modulus, e, pn)
+            assert set(got) <= {5} and got.get(5, 0) >> (e * width) == 0
+            assert tuple((got.get(5, 0) >> (i * width)) & mask for i in range(e)) == want
 
 
 def test_monomials_match_filtered_product():

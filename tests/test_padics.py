@@ -16,6 +16,8 @@ from padiclt.padics import (
     scalar_add,
     scalar_inv,
     scalar_mul,
+    scalar_mul_int,
+    scalar_neg,
     scalar_sub,
     valuation,
 )
@@ -195,3 +197,54 @@ def test_reduction_idempotence():
 def test_context_serialization_round_trip():
     s = CTX32.to_json()
     assert UnramContext.from_json(s) == CTX32
+
+
+def _reduced(x: PadicScalar) -> bool:
+    return len(x.coords) == x.ctx.e and all(0 <= c < x.ctx.p ** x.prec for c in x.coords)
+
+
+def test_every_constructor_path_stores_reduced_coordinates():
+    # PadicScalar.__eq__ compares the coordinate tuples of two scalars of one
+    # precision, which is right only if every path that builds a scalar
+    # stores its coordinates in [0, p^prec)
+    from padiclt import divalg, domain, linalg
+    rng = random.Random(7)
+    for p, e, N in ((3, 2, 8), (2, 3, 6), (5, 1, 4), (3, 4, 5)):
+        ctx = make_context(p, e, N)
+        made = [ctx.zero(), ctx.one(), ctx.gen(), ctx.from_int(-7), ctx.from_int(p ** (N + 2) + 5),
+                ctx.from_int(-1, prec=2), ctx.from_coords([-3] + [p ** (2 * N)] * (e - 1)),
+                ctx.from_coords([p ** N + 1] * e, prec=N + 3), ctx.random_unit(rng),
+                ctx.random_element(rng, prec=2 * N)]
+        for _ in range(20):
+            a, b = ctx.random_element(rng), ctx.random_element(rng, prec=rng.randint(1, N))
+            u = ctx.random_unit(rng)
+            made += [scalar_add(a, b), scalar_sub(a, b), scalar_sub(b, a), scalar_neg(a),
+                     scalar_mul(a, b), scalar_mul_int(a, -p - 1), scalar_inv(u),
+                     a.at_precision(1), b.at_precision(N + 2), frobenius(b, rng.randint(-e, e)),
+                     linalg.divide_by_pivot(scalar_mul_int(a, p), ctx.from_int(p * (p + 1)))]
+        h = e if e > 1 else 2
+        dctx = ctx if e > 1 else make_context(p, 2, N)
+        f = domain.random_domain_func(dctx, h, 3, rng)
+        g = domain.random_domain_func(dctx, h, 3, rng)
+        gamma = divalg.sample_gamma(dctx, 0, rng)
+        A, B = divalg.j_embed(gamma), divalg.j_embed(divalg.sample_gamma(dctx, 1, rng))
+        made += list(f.mul(g).terms.values())
+        made += list(domain.gamma_act(gamma, domain.Section(f, -1)).func.terms.values())
+        made += list(domain.lie_act(1, 0, domain.Section(f, 2)).func.terms.values())
+        made += list(f.scale_int(p).scale_down(1).terms.values())
+        made += [x for row in A for x in row] + [x for row in divalg.mat_mul(A, B) for x in row]
+        made += list(divalg.div_mul(gamma, gamma).coeffs) + [linalg.determinant(A, dctx)]
+        made += [x for vec in linalg.kernel_basis(A[:1], len(A), dctx, N).basis for x in vec]
+        bad = [x for x in made if not _reduced(x)]
+        assert not bad, bad
+
+
+@settings(max_examples=60, derandomize=True)
+@given(coord_pairs, coord_pairs, st.integers(1, 8), st.integers(1, 8))
+def test_equality_compares_at_the_least_precision(ca, cb, na, nb):
+    a, b = CTX32.from_coords(ca, prec=na), CTX32.from_coords(cb, prec=nb)
+    n = min(na, nb)
+    assert (a == b) == all((x - y) % 3 ** n == 0 for x, y in zip(a.coords, b.coords))
+    if na == nb:
+        assert (a == b) == (a.coords == b.coords)
+    assert a == a.at_precision(n) and a.at_precision(n) == a
