@@ -29,6 +29,8 @@ threshold and fails on no figure.
     domain.lie_act          all 16 operators x_ij on a dense random section of twist 2,
                             (p, h, N) = (3, 4, 8), Dmax=7
     divalg.nrd              20 reduced norms of random units, (p, h, N) = (3, 4, 8)
+    linalg.determinant      5 determinants of embedded random units, (p, h, N) = (2, 6, 8),
+                            where the packed subset expansion has 64 states
     divalg.mat_mul          20 products j(a) j(b) of embedded random units, (p, h, N) = (3, 4, 8)
     divalg.div_mul          20 products a b of random units, (p, h, N) = (3, 4, 8)
     divalg.div_inv          20 inverses of random units, (p, h, N) = (3, 4, 8)
@@ -52,7 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from padiclt import domain  # noqa: E402
 from padiclt.divalg import div_inv, div_mul, j_embed, mat_mul, nrd, sample_gamma  # noqa: E402
 from padiclt.formal import lt_construct  # noqa: E402
-from padiclt.linalg import kernel_basis  # noqa: E402
+from padiclt.linalg import determinant, kernel_basis  # noqa: E402
 from padiclt.padics import frobenius, make_context  # noqa: E402
 
 
@@ -122,15 +124,21 @@ def _lie_act():
     return lambda: [domain.lie_act(i, j, x) for i in range(4) for j in range(4)]
 
 
-def _units():
-    ctx = make_context(3, 4, 8)
+def _units(p: int = 3, h: int = 4, count: int = 20):
+    ctx = make_context(p, h, 8)
     rng = random.Random(4)
-    return [sample_gamma(ctx, 0, rng) for _ in range(20)]
+    return [sample_gamma(ctx, 0, rng) for _ in range(count)]
 
 
 def _nrd():
     units = _units()
     return lambda: [nrd(a) for a in units]
+
+
+def _determinant():
+    units = _units(2, 6, 5)
+    mats = [(j_embed(a), a.ctx) for a in units]
+    return lambda: [determinant(m, ctx) for m, ctx in mats]
 
 
 def _mat_mul():
@@ -161,6 +169,7 @@ LAYERS = {
     "padics.frobenius": _frobenius,
     "domain.lie_act": _lie_act,
     "divalg.nrd": _nrd,
+    "linalg.determinant": _determinant,
     "divalg.mat_mul": _mat_mul,
     "divalg.div_mul": _div_mul,
     "divalg.div_inv": _div_inv,

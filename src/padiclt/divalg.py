@@ -8,13 +8,12 @@ with basis {1, Pi^(h-1), ..., Pi}; the reduced norm is det(j(.)).
 
 j_embed, mat_mul and div_mul work on integer coordinates, as
 linalg.determinant does.  sigma^r is one product with the cached matrix
-padics._frobenius_rows(ctx, r, .), and a coefficient's e coordinates are
-packed into one int (padics._pack), so the product of two packed ints holds
-the 2e-1 coordinates of the unreduced polynomial product.  Each output
-coefficient sums its packed products and is reduced once mod (Phi, p^q)
-(padics._unpack_reduce).  Reduction mod (Phi, p^q) is a ring map, so this
-equals the one-scalar-operation-per-step loops, coordinates and precision
-both, for these precisions q:
+padics._frobenius_rows(ctx, r, .).  mat_mul and div_mul sum the packed
+products (see the padics module docstring) of each output coefficient,
+reduce all sums once mod (Phi, p^top), top the largest input precision, and
+cut each coefficient to its own precision q <= top.  This equals the
+one-scalar-operation-per-step loops, coordinates and precision both, for
+these precisions q:
 
 - j_embed: entry (r, c) keeps the precision of its coefficient
   lambda_{(c-r) mod h}; sigma^r and the factor p act at that precision.
@@ -24,10 +23,6 @@ both, for these precisions q:
   b_j over the pairs with a_i, b_j both nonzero and i + j = k mod h; with no
   such pair it is 0 at precision N.  The pairs with i + j >= h carry the
   factor p of Pi^h = p.
-
-A slot width is the bit length of the largest sum a slot can take, so no
-slot carries into the next: with coordinates below B = p^Q (Q the largest
-precision of the inputs), one product puts at most e (B-1)^2 into a slot.
 """
 
 from __future__ import annotations
@@ -43,7 +38,9 @@ from .padics import (
     UnramContext,
     _frobenius_rows,
     _pack,
-    _unpack_reduce,
+    _reduce_packed,
+    _slot_width,
+    _unpack,
     frobenius,
     scalar_add,
     scalar_mul_int,
@@ -154,7 +151,7 @@ def div_mul(a: DivElem, b: DivElem) -> DivElem:
     rhs = [(j, y) for j, y in enumerate(b.coeffs) if any(y.coords)]
     top = max((x.prec for _, x in lhs + rhs), default=0)
     # coefficient 0 takes one plain product and h-1 products times p
-    width = ((1 + p * (h - 1)) * e * (p ** top - 1) ** 2).bit_length()
+    width = _slot_width(1 + p * (h - 1), e, p ** top)
     # twisted[i][j]: sigma^i(b_j), packed
     twisted = {i: {} for i, _ in lhs}
     for j, y in rhs:
@@ -174,10 +171,10 @@ def div_mul(a: DivElem, b: DivElem) -> DivElem:
                 k, term = k - h, term * p
             acc[k] = acc.get(k, 0) + term
             precs[k] = min(precs.get(k, ctx.N), x.prec, y.prec)
+    acc = _reduce_packed(acc, width, modulus, e, p ** top)
     out = [ctx.zero()] * h
-    for k, v in acc.items():
-        q = precs[k]
-        out[k] = PadicScalar(ctx, _unpack_reduce(v, width, modulus, e, p ** q), q)
+    for k, q in precs.items():
+        out[k] = PadicScalar(ctx, _unpack(acc.get(k, 0), width, e), top).at_precision(q)
     return DivElem(ctx, tuple(out))
 
 
@@ -241,7 +238,7 @@ def j_embed(a: DivElem) -> list[list[PadicScalar]]:
 
 
 def mat_mul(A: list[list[PadicScalar]], B: list[list[PadicScalar]]) -> list[list[PadicScalar]]:
-    """A @ B, one packed dot product and one reduction per entry.
+    """A @ B, one packed dot product per entry and one reduction for all.
 
     Entry (r, c) has the least precision of row r of A and column c of B.
     """
@@ -251,21 +248,20 @@ def mat_mul(A: list[list[PadicScalar]], B: list[list[PadicScalar]]) -> list[list
     ctx = A[0][0].ctx
     if not ctx.same_ring(B[0][0].ctx):
         raise ContextMismatchError("mat_mul: matrices over different rings")
-    p, e, modulus = ctx.p, ctx.e, ctx.modulus
+    p, e = ctx.p, ctx.e
     top = max(x.prec for M in (A, B) for row in M for x in row)
-    width = (n * e * (p ** top - 1) ** 2).bit_length()
+    width = _slot_width(n, e, p ** top)
     rows = [[_pack(x.coords, width) for x in row] for row in A]
     cols = [[_pack(x.coords, width) for x in col] for col in zip(*B)]
-    row_precs = [min(x.prec for x in row) for row in A]
+    acc = _reduce_packed({(r, c): sum(map(mul, row, col))
+                          for r, row in enumerate(rows) for c, col in enumerate(cols)},
+                         width, ctx.modulus, e, p ** top)
     col_precs = [min(x.prec for x in col) for col in zip(*B)]
     out = []
-    for row, qr in zip(rows, row_precs):
-        out_row = []
-        for col, qc in zip(cols, col_precs):
-            q = min(qr, qc)
-            coords = _unpack_reduce(sum(map(mul, row, col)), width, modulus, e, p ** q)
-            out_row.append(PadicScalar(ctx, coords, q))
-        out.append(out_row)
+    for r, row in enumerate(A):
+        qr = min(x.prec for x in row)
+        out.append([PadicScalar(ctx, _unpack(acc.get((r, c), 0), width, e), top)
+                    .at_precision(min(qr, qc)) for c, qc in enumerate(col_precs)])
     return out
 
 

@@ -25,10 +25,7 @@ series module docstring).  _substitution_data divides the numerators by
 den = c0 (1 + eps) as (c0^-1 num) * 1/(1 + eps), so the unit c0^-1 scales h
 terms, not a dense series; den_inv itself is built only for a negative
 twist.  _apply_substitution evaluates f(P) by a Horner scheme in the
-generators, entirely on packed integers: one precision q for the whole
-substitution (the least precision of f and of the generators it
-substitutes), one slot width for all its steps, with the headroom of the
-reduction mod (Phi, p^q), and the generators packed once mod p^q.
+generators, entirely on packed integers at one precision and slot width.
 
 Each Lie operator is one monomial map: the (i,j) matrix unit (w_0 := 1) sends
 w^a to k w^(a - e_j + e_i), k = a_j for j != 0 and k = s - |a| for j = 0 (s
@@ -51,6 +48,8 @@ from .padics import (
     PrecisionLossError,
     UnramContext,
     ZeroAtPrecisionError,
+    _reduce_packed,
+    _slot_width,
     frobenius,
     scalar_add,
     scalar_inv,
@@ -62,9 +61,7 @@ from .series import (
     UnramRing,
     _pack_terms,
     _products,
-    _reduce_packed,
     _right,
-    _slot_width,
     _unpack_terms,
     geometric_inverse,
 )
@@ -268,12 +265,12 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
     on; at the last variable a group sum_b c_b P_last^b takes the powers of
     P_last, built once per call.  Each step is one series._products call
     over the pairs (acc, P_i) and those of the level below, and one
-    series._reduce_packed; a level's last step stays a list of pairs for the
+    padics._reduce_packed; a level's last step stays a list of pairs for the
     level above, so the outermost sum is one step as well.
 
     The result has one precision q: the least precision of any coefficient
     of f and of any nonempty generator that a term of f substitutes.  The
-    whole substitution runs mod p^q, on packed coordinates (see the series
+    whole substitution runs mod p^q, on packed coordinates (see the padics
     module docstring): the generators and the powers of P_last are packed
     once, every Horner sum stays a dict key -> packed int, and scalars and
     exponent tuples are built only for the result.  Reduction mod p^q is a
@@ -282,9 +279,8 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
     output key a step forms at most |P_i| products for a pair (acc, P_i), of
     which it has at most one per level, and one for each pair (c, P_last^b),
     of which it has at most Dmax + 1 (the terms of one last-level group); so
-    the sizes of the substituted generators plus Dmax + 1 bound every step,
-    the powers of P_last included.  The width adds the headroom of the
-    reduction mod (Phi, p^q) to that bound.
+    the sizes of the substituted generators plus Dmax + 1 bound every step's
+    count of products, the powers of P_last included.
     """
     ctx, nvars, dmax = f.ctx, f.nvars, f.dmax
     if not f.terms:
@@ -292,8 +288,7 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
     used = [i for i in range(nvars) if any(e[i] for e in f.terms)]
     q = min(c.prec for g in (f, *(gens[i] for i in used)) for c in g.terms.values())
     pn, modulus = ctx.p ** q, ctx.modulus
-    width = _slot_width((sum(len(gens[i].terms) for i in used) + dmax + 1)
-                        * ctx.e * (pn - 1) ** 2, ctx.e, pn)
+    width = _slot_width(sum(len(gens[i].terms) for i in used) + dmax + 1, ctx.e, pn)
     stride = dmax + 1
     top = stride ** nvars  # a key's degree digit
     const = (0,) * nvars

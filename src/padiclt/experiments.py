@@ -48,6 +48,9 @@ KERNEL_COLUMNS = 1_000         # monomials of degree <= 8; h = 5: 495; h = 6: 1,
 # and h <= 4 fits contraction and dist-norms, and action-law at h = 2 fits
 # N <= 68
 ACTION_DIGITS = 20_000
+# p-adic digits 2^h h N of the determinant behind Nrd: 2^h subset states, each
+# a minor of h coordinates of N digits; at N = 8, h <= 8 fits j-homomorphism
+NRD_DIGITS = 20_000
 
 
 @dataclass
@@ -187,6 +190,16 @@ def _check_action_budget(cfg: ExperimentConfig, degree: int) -> None:
 # ---------------------------------------------------------------- experiments
 
 def exp_j_homomorphism(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """j and Nrd = det j multiplicative on 200 pairs; Nrd = 1 mod p^n on Gamma_n.
+
+    Size budget: 2^h h N p-adic digits in the determinant, at most NRD_DIGITS
+    (h <= 8 at N = 8); a larger config is a config error.
+    """
+    digits = 2 ** cfg.h * cfg.h * cfg.N
+    if digits > NRD_DIGITS:
+        raise ConfigInvalidError(
+            f"j-homomorphism at h = {cfg.h}, N = {cfg.N} takes determinants of "
+            f"{digits} p-adic digits; the budget is {NRD_DIGITS}")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -513,7 +526,8 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
     t0 = time.perf_counter()
     dmax = cfg.Dmax
     d = 2
-    nmax = 10
+    # the second check compares f_n for n from Dmax - d to nmax
+    nmax = max(10, dmax - d)
     ok, trials = 0, 0
     tails = []  # per twist: the (closed form, f_n) pairs the second check compares, and deg_d
     for s in (-1, 0, 2):

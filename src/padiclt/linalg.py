@@ -36,7 +36,9 @@ from .padics import (
     _coords_mul,
     _coords_valuation,
     _pack,
-    _unpack_reduce,
+    _reduce_packed,
+    _slot_width,
+    _unpack,
     scalar_inv,
     scalar_mul,
     scalar_sub,
@@ -201,16 +203,13 @@ def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScal
 
     The value of each state, the minor on the first |S| rows and the columns
     of S, has the one precision q of the result, the least precision of any
-    entry.  Entries are reduced mod p^q and packed once (padics._pack), with
-    (-v) mod p^q packed for the terms that enter with a minus sign, so no
-    slot goes negative.  Each level of the expansion sums, per new subset,
-    the packed products of the states it extends with their new entries, at
-    most n of them, and reduces that sum once mod (Phi, p^q): 2^n - 1
-    reductions in all.  A slot of one product stays at most e (p^q - 1)^2,
-    so W = (n e (p^q - 1)^2).bit_length() bits hold any sum without a carry.
-    Reduction mod (Phi, p^q) is a ring map, so the result equals one
-    scalar_mul and one scalar_add per term at precision q, coordinates and
-    precision both.
+    entry.  Entries are reduced mod p^q and packed once (see the padics module
+    docstring), with (-v) mod p^q for the terms that enter with a minus sign,
+    so no slot goes negative.  Each level sums, per new subset, the packed
+    products of the states it extends with their new entries, at most n of
+    them, and reduces the sums once mod (Phi, p^q); states stay packed between
+    levels.  The result equals one scalar_mul and one scalar_add per term at
+    precision q, coordinates and precision both.
     """
     n = len(matrix)
     if not n:
@@ -218,7 +217,7 @@ def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScal
     p, e, modulus = ctx.p, ctx.e, ctx.modulus
     q = min(x.prec for row in matrix for x in row)
     pq = p ** q
-    width = (n * e * (pq - 1) ** 2).bit_length()
+    width = _slot_width(n, e, pq)
     # (+v, -v) mod p^q, packed, of every entry
     signed = []
     for row in matrix:
@@ -229,12 +228,12 @@ def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScal
             out.append((_pack([v % pq for v in x.coords], width),
                         _pack([-v % pq for v in x.coords], width)))
         signed.append(out)
-    # dp over subsets of columns: coordinates of the minor on the first popcount(S) rows
-    dp = {0: (1 % pq,) + (0,) * (e - 1)}
+    # dp over subsets of columns: the packed minor on the first popcount(S) rows;
+    # a minor that is 0 mod (Phi, p^q) is dropped, as it adds nothing
+    dp = {0: 1 % pq}
     for r in range(n):
         sums: dict[int, int] = defaultdict(int)
-        for subset, val in dp.items():
-            packed = _pack(val, width)
+        for subset, packed in dp.items():
             count_less = 0
             for c in range(n):
                 bit = 1 << c
@@ -243,5 +242,5 @@ def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScal
                     continue
                 # inserting (row r, col c) adds r - count_less inversions
                 sums[subset | bit] += packed * signed[r][c][(r - count_less) % 2]
-        dp = {s: _unpack_reduce(x, width, modulus, e, pq) for s, x in sums.items()}
-    return PadicScalar(ctx, dp[(1 << n) - 1], q)
+        dp = _reduce_packed(sums, width, modulus, e, pq)
+    return PadicScalar(ctx, _unpack(dp.get((1 << n) - 1, 0), width, e), q)

@@ -6,12 +6,28 @@ length e with entries reduced mod p^N.  The absolute precision N propagates
 through arithmetic by min.  The Frobenius lift sigma (the unique ring
 automorphism reducing to c -> c^p on the residue field) is realized as an
 e x e matrix obtained by Hensel-lifting the p-power map.
+
+Packed coordinates (Kronecker substitution, Harvey arXiv:0712.4046) serve
+every bulk product: series, domain, divalg and linalg.  Coordinates
+c_0..c_{e-1} below p^q pack into the int sum c_i 2^(i W) (_pack, _unpack):
+the low coordinate in the low W-bit slot.  The product of two packed ints
+holds the 2e-1 coordinates of the unreduced product in x, one per slot,
+each at most e (p^q - 1)^2, so a sum of C products stays at most
+S = C e (p^q - 1)^2 per slot.  _reduce_packed folds each slot d >= e into
+the low e as slot_d times the packed row x^d mod (Phi, p^q) (_phi_rows,
+entries below p^q), so a low slot reaches at most S (1 + (e-1)(p^q - 1))
+before it is cut mod p^q once.  _slot_width is the bit length of that
+bound: no slot carries into the next, so products add freely.  Reduction by
+the monic Phi is Z-linear and mod p^q a ring map, so this is each product
+reduced and summed at precision q; and since p^q divides p^m for m >= q, a
+sum reduced at p^m and cut mod p^q is the sum reduced at p^q.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
 
 
@@ -59,6 +75,7 @@ def _poly_gcd_deg_mod_p(f: list[int], g: list[int], p: int) -> int:
 
 def _is_irreducible_mod_p(poly: list[int], p: int) -> bool:
     """Rabin test: x^(p^e) = x mod poly and gcd(x^(p^(e/r)) - x, poly) = 1."""
+    poly = tuple(poly)  # _coords_mul caches its rows per modulus
     e = len(poly) - 1
     if e == 1:
         return True
@@ -162,9 +179,12 @@ class UnramContext:
         return PadicScalar(self, tuple(coords), n)
 
     def from_coords(self, coords, prec: int | None = None) -> "PadicScalar":
+        """Coordinates mod p^prec, missing ones 0; more than e raise ValueError."""
         n = self.N if prec is None else prec
         pn = self.p ** n
         cs = [int(c) % pn for c in coords]
+        if len(cs) > self.e:
+            raise ValueError(f"need at most e={self.e} coordinates, got {len(cs)}")
         cs += [0] * (self.e - len(cs))
         return PadicScalar(self, tuple(cs), n)
 
@@ -280,19 +300,10 @@ def scalar_neg(a: PadicScalar) -> PadicScalar:
     return PadicScalar(a.ctx, tuple((-x) % pn for x in a.coords), a.prec)
 
 
-def _reduce_poly(prod: list[int], modulus: tuple[int, ...], e: int, pn: int) -> tuple[int, ...]:
-    for d in range(len(prod) - 1, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for k in range(e):
-                prod[d - e + k] = (prod[d - e + k] - c * modulus[k]) % pn
-    return tuple(prod[:e]) if len(prod) >= e else tuple(prod + [0] * (e - len(prod)))
-
-
 def _coords_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], e: int,
                 pn: int) -> tuple[int, ...]:
-    """Coordinates of a*b mod (Phi, pn), for coordinate tuples a and b of length e."""
+    """Coordinates of a*b mod (Phi, pn), for coordinate tuples a and b of length e;
+    x^d, d >= e, is folded into the low e by _phi_rows, as in _reduce_packed."""
     if e == 1:
         return ((a[0] * b[0]) % pn,)
     prod = [0] * (2 * e - 1)
@@ -300,31 +311,66 @@ def _coords_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...]
         if x:
             for j, y in enumerate(b):
                 prod[i + j] += x * y
-    return _reduce_poly([c % pn for c in prod], modulus, e, pn)
+    low = prod[:e]
+    for c, row in zip(prod[e:], _phi_rows(modulus, pn)):
+        if c:
+            for k, r in enumerate(row):
+                low[k] += c * r
+    return tuple([c % pn for c in low])
 
 
 def _pack(coords, width: int) -> int:
-    """sum_i coords[i] 2^(i width): the low coordinate in the low slot.
-
-    The product of two packed coordinate tuples of length e holds the 2e-1
-    coordinates of their unreduced polynomial product in x, one per slot, as
-    long as no slot of it (or of a sum of such products) reaches 2^width.
-    """
+    """sum_i coords[i] 2^(i width): the low coordinate in the low slot."""
     x = 0
     for v in reversed(coords):
         x = (x << width) + v
     return x
 
 
-def _unpack_reduce(x: int, width: int, modulus: tuple[int, ...], e: int,
-                   pn: int) -> tuple[int, ...]:
-    """Coordinates mod (Phi, pn) of the packed 2e-1 slot polynomial x (see _pack)."""
+def _unpack(x: int, width: int, e: int) -> tuple[int, ...]:
+    """The low e slots of x: the inverse of _pack on e slots below 2^width."""
     mask = (1 << width) - 1
-    slots = []
-    for _ in range(2 * e - 1):
-        slots.append((x & mask) % pn)
-        x >>= width
-    return _reduce_poly(slots, modulus, e, pn)
+    return tuple([(x >> s) & mask for s in range(0, e * width, width)])
+
+
+def _slot_width(count: int, e: int, pn: int) -> int:
+    """Bits per slot for sums of `count` products of packed coordinates below
+    pn, with the headroom of _reduce_packed; see the module docstring."""
+    slot = count * e * (pn - 1) ** 2
+    return (slot * (1 + (e - 1) * (pn - 1))).bit_length() or 1
+
+
+@lru_cache(maxsize=None)
+def _phi_rows(modulus: tuple[int, ...], pn: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of x^d mod (Phi, pn) for d = e..2e-2, e = deg Phi (monic)."""
+    e = len(modulus) - 1
+    rows = [tuple([-c % pn for c in modulus[:e]])]  # x^e
+    for _ in range(e - 2):
+        *low, top = rows[-1]  # x^(d+1) = x * x^d, its top coordinate times x^e folded back
+        rows.append(tuple([(a + top * b) % pn for a, b in zip([0] + low, rows[0])]))
+    return tuple(rows)
+
+
+def _reduce_packed(acc: dict, width: int, modulus: tuple[int, ...], e: int,
+                   pn: int) -> dict:
+    """key -> the packed coordinates mod (Phi, pn) of each packed sum of acc, by
+    the fold of the module docstring; sums that reduce to 0 are dropped."""
+    mask = (1 << width) - 1
+    low = (1 << (e * width)) - 1
+    high = range(e * width, (2 * e - 1) * width, width)  # the shifts of slots e..2e-2
+    rows = [(s, _pack(row, width)) for s, row in zip(high, _phi_rows(modulus, pn))]
+    shifts = range(width, e * width, width)
+    out = {}
+    for k, v in acc.items():
+        x = v & low
+        for s, row in rows:
+            x += ((v >> s) & mask) * row
+        v = (x & mask) % pn
+        for s in shifts:
+            v |= ((x >> s) & mask) % pn << s
+        if v:
+            out[k] = v
+    return out
 
 
 def scalar_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:

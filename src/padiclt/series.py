@@ -12,57 +12,40 @@ of its operand's own type, so a DomainFunc stays one.
 This module owns the sparse product engine: _lazy_mul over Z/p^N and
 _lazy_combine over unramified coefficients (the quotient rings only serve
 pointwise evaluation, and a product of series over any other ring raises
-TypeError).  Both are built from three pieces, which domain's substitution
-uses too: _pack_terms keys the terms and packs their coefficients,
-_products is the one product loop, and _reduce_packed reduces packed sums
-mod (Phi, p^q).  A monomial X^a of degree d in n variables is keyed by the
-int d (Dmax+1)^n + sum a_i (Dmax+1)^i, the degree in the top digit.  The
-terms of the right factor are sorted by total degree, so for each left term
-the partners that stay within Dmax are a prefix found by bisection; every
-exponent and degree of a kept pair is at most Dmax, so adding two keys never
-carries from one digit into the next.  Over Z/p^N each output key
-accumulates the plain integer sum of its products and is reduced once,
-`% p^N`: reduction mod p^N is a ring map from Z, so reducing the sum equals
-summing the reduced products.
+TypeError).  Both are built from _pack_terms, which keys the terms and
+packs their coefficients, and _products, the one product loop; domain's
+substitution uses them too.  A monomial X^a of degree d in n variables is
+keyed by the int d (Dmax+1)^n + sum a_i (Dmax+1)^i, the degree in the top
+digit.  The terms of the right factor are sorted by total degree, so for
+each left term the partners that stay within Dmax are a prefix found by
+bisection; every exponent and degree of a kept pair is at most Dmax, so
+adding two keys never carries from one digit into the next.  Over Z/p^N
+each output key accumulates the plain integer sum of its products and is
+reduced once, `% p^N`: reduction mod p^N is a ring map from Z, so reducing
+the sum equals summing the reduced products.
 
 _lazy_combine computes sum_k F_k * G_k over a list of pairs of term dicts
-without building a scalar per coefficient product.  A coefficient's e
-coordinates c_0..c_{e-1}, cut mod p^q, are packed into one Python int
-sum c_i 2^(i W); the product of two packed ints then holds the 2e-1
-coordinates of the unreduced polynomial product in x, one per W-bit slot,
-each at most e (p^q - 1)^2.  At one output key a pair (F, G) forms at most
-min(|F|, |G|) coefficient products, since a term of F meets at most one term
-of G there; with C the sum of these counts over the pairs, a slot of a sum
-stays at most S = C e (p^q - 1)^2.  _reduce_packed adds slot_d times the
-packed row x^d mod (Phi, p^q), d = e..2e-2, to the low e slots (the rows
-have entries below p^q and are cached per (Phi, p^q)), so a low slot stays
-at most S (1 + (e-1)(p^q - 1)), and then cuts each low slot mod p^q once.
-The width W is the bit length of that bound (_slot_width): no slot ever
-carries into the next, so packed products may be added freely.
+without building a scalar per coefficient product.  Coefficients are cut
+mod p^q and packed, and each output key's sum of packed products is
+reduced once mod (Phi, p^q) by padics._reduce_packed (the packed format and
+its slot width are described in the padics module docstring).  At one
+output key a pair (F, G) forms at most min(|F|, |G|) coefficient products,
+since a term of F meets at most one term of G there; the sum C of these
+counts over the pairs is the count that sets the slot width.
 
 A product has one absolute precision q, the least precision of any
 coefficient of the pairs that take part (Caruso, Roe and Vaccon, "Tracking
 p-adic precision", LMS J. Comput. Math. 17A, 2014): every output coefficient
-is the one accumulated integer sum reduced once mod (Phi, p^q).  Reduction
-by the monic Phi is Z-linear and p^q divides every p^m with m >= q, so this
-is each product reduced and summed at precision q.  On inputs of one
-precision it is exactly the per-pair scalar loop; on mixed inputs the
-result claims no more precision than its least precise input, and no
+is the one accumulated integer sum reduced once mod (Phi, p^q).  On inputs
+of one precision it is exactly the per-pair scalar loop; on mixed inputs
+the result claims no more precision than its least precise input, and no
 summation order can change it.
-
-domain._apply_substitution runs a whole substitution f(P) on these pieces,
-with one q for all its steps (the least precision of f and of the
-generators it substitutes) and one width, taken from the largest count C of
-any step.  It packs the generators and the powers of the last one once,
-keeps every Horner sum as a dict key -> packed int, and builds scalars and
-exponent tuples only for the result.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from functools import lru_cache
 from operator import attrgetter
 
 from .padics import (
@@ -71,8 +54,8 @@ from .padics import (
     PrecisionLossError,
     UnramContext,
     _coords_mul,
-    _pack,
-    _reduce_poly,
+    _reduce_packed,
+    _slot_width,
     scalar_add,
     scalar_inv,
     scalar_mul,
@@ -454,6 +437,8 @@ def _pack_terms(terms: dict, dmax: int, stride: int, width: int = 0,
             for a in reversed(exp):
                 key = key * stride + a
             if width:
+                # padics._pack with the cut mod pn fused in: this loop runs once
+                # per term of every product, and a call per term costs more
                 x = 0
                 for v in reversed(c.coords):
                     x = (x << width) + v % pn
@@ -483,46 +468,6 @@ def _products(pairs: list, dmax: int) -> dict[int, int]:
     return acc
 
 
-def _slot_width(slot: int, e: int, pn: int) -> int:
-    """Bits per slot for packed sums whose 2e-1 slots are at most `slot`,
-    with the headroom that _reduce_packed needs to fold the top e-1 slots
-    into the low e by rows with entries below pn."""
-    return (slot * (1 + (e - 1) * (pn - 1))).bit_length()
-
-
-def _reduce_packed(acc: dict[int, int], width: int, modulus: tuple[int, ...], e: int,
-                   pn: int) -> dict[int, int]:
-    """key -> the packed coordinates mod (Phi, pn) of each packed sum of acc.
-
-    Slot d of a sum is the coefficient of x^d, d < 2e-1.  Slot d >= e adds
-    slot_d times the packed row x^d mod (Phi, pn) to the low e slots, then
-    each low slot is cut mod pn once.  Sums that reduce to 0 are dropped.
-    """
-    mask = (1 << width) - 1
-    low = (1 << (e * width)) - 1
-    high = range(e * width, (2 * e - 1) * width, width)  # the shifts of slots e..2e-2
-    rows = [(s, _pack(row, width)) for s, row in zip(high, _phi_rows(modulus, pn))]
-    shifts = range(width, e * width, width)
-    out = {}
-    for k, v in acc.items():
-        x = v & low
-        for s, row in rows:
-            x += ((v >> s) & mask) * row
-        v = (x & mask) % pn
-        for s in shifts:
-            v |= ((x >> s) & mask) % pn << s
-        if v:
-            out[k] = v
-    return out
-
-
-@lru_cache(maxsize=None)
-def _phi_rows(modulus: tuple[int, ...], pn: int) -> tuple[tuple[int, ...], ...]:
-    """The coordinates of x^d mod (Phi, pn) for d = e..2e-2, e = deg Phi."""
-    e = len(modulus) - 1
-    return tuple(_reduce_poly([0] * d + [1], modulus, e, pn) for d in range(e, 2 * e - 1))
-
-
 def _exponent(key: int, nvars: int, stride: int) -> tuple[int, ...]:
     """The exponent tuple of a key; its degree digit is dropped."""
     exp = []
@@ -535,6 +480,7 @@ def _exponent(key: int, nvars: int, stride: int) -> tuple[int, ...]:
 def _unpack_terms(packed: dict[int, int], ctx: UnramContext, nvars: int, stride: int,
                   width: int, q: int) -> dict[tuple[int, ...], PadicScalar]:
     """Exponent -> PadicScalar at precision q of each key -> packed coordinates."""
+    # padics._unpack inline: one call per output term would cost more than the loop
     mask = (1 << width) - 1
     shifts = range(0, ctx.e * width, width)
     return {_exponent(k, nvars, stride):
@@ -570,7 +516,7 @@ def _lazy_combine(ctx: UnramContext, nvars: int, dmax: int,
     q = min(precs)
     e = ctx.e
     pn = ctx.p ** q
-    width = _slot_width(count * e * (pn - 1) ** 2, e, pn)
+    width = _slot_width(count, e, pn)
     stride = dmax + 1
     acc = _products([(_pack_terms(F, dmax, stride, width, pn),
                       _right(_pack_terms(G, dmax, stride, width, pn))) for F, G in pairs], dmax)

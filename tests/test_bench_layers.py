@@ -19,7 +19,7 @@ def test_bench_layers_smoke(tmp_path):
     assert set(report["median_s"]) == {
         "series.TruncSeries.mul", "formal.lt_construct", "domain.DomainFunc.mul",
         "domain.gamma_act", "domain.gamma_act_h4", "domain.substitution_data",
-        "linalg.kernel_basis", "padics.frobenius",
+        "linalg.kernel_basis", "linalg.determinant", "padics.frobenius",
         "domain.lie_act", "divalg.nrd", "divalg.mat_mul", "divalg.div_mul", "divalg.div_inv"}
     assert all(t > 0 for t in report["median_s"].values())
 

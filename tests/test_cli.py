@@ -54,6 +54,9 @@ def test_invalid_config_exits_2(tmp_path):
         assert main(["run", name, "--h", "6"]) == 2, name
         with pytest.raises(ConfigInvalidError, match="budget"):
             run(ExperimentConfig(name, h=12, Dmax=40))
+    # j-homomorphism's determinant has 2^h states
+    assert main(["run", "j-homomorphism", "--h", "14"]) == 2
+    assert main(["run", "j-homomorphism", "--h", "4", "--N", "400"]) == 2
 
 
 def test_action_experiments_exit_2_beyond_their_budget():
@@ -69,6 +72,15 @@ def test_action_experiments_exit_2_beyond_their_budget():
     # at h = 2 the exact low-degree checks truncate at degree 2N + 6 and 2N + 5
     assert main(["run", "action-law", "--h", "2", "--N", "69"]) == 2
     assert main(["run", "dist-norms", "--h", "2", "--N", "70"]) == 2
+
+
+@pytest.mark.parametrize("dmax", [13, 16])
+def test_fn_sequence_compares_the_tail_beyond_dmax_12(dmax, tmp_path):
+    # the tail f_n, n >= Dmax - 2, reaches past n = 10 from Dmax = 13 on
+    out = tmp_path / "report.json"
+    assert main(["run", "fn-sequence", "--Dmax", str(dmax), "--out", str(out)]) == 0
+    checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["stabilizes-to-lowest-slice"]["measured"]["comparisons"] > 0
 
 
 def test_zero_trial_checks_fail(capsys):

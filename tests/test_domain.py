@@ -768,29 +768,6 @@ def test_substitution_data_with_mixed_precision_coefficients():
             _assert_identical(den_inv, ref_inv)
 
 
-_REDUCTION_CTX = {(p, e): make_context(p, e, 8) for p in (2, 3, 5) for e in range(1, 6)}
-
-
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 10 ** 6))
-def test_packed_reduction_matches_reduce_poly(q, count, seed):
-    # a packed sum of `count` products of coordinates below p^q, once with
-    # every slot at the largest value the slot width allows for and once
-    # with random slots below it, against the reduction one degree at a time
-    rng = random.Random(seed)
-    for (p, e), ctx in _REDUCTION_CTX.items():
-        pn = p ** q
-        top = count * e * (pn - 1) ** 2
-        width = series._slot_width(top, e, pn)
-        mask = (1 << width) - 1
-        for slots in ([top] * (2 * e - 1), [rng.randint(0, top) for _ in range(2 * e - 1)]):
-            got = series._reduce_packed({5: padics._pack(slots, width), 9: 0}, width,
-                                        ctx.modulus, e, pn)
-            want = padics._reduce_poly([v % pn for v in slots], ctx.modulus, e, pn)
-            assert set(got) <= {5} and got.get(5, 0) >> (e * width) == 0
-            assert tuple((got.get(5, 0) >> (i * width)) & mask for i in range(e)) == want
-
-
 def test_monomials_match_filtered_product():
     for h in range(1, 6):
         for dmax in range(9):

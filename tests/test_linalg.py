@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padiclt.domain as domain
+from padiclt.divalg import mat_mul
 from padiclt.linalg import KernelResult, determinant, divide_by_pivot, kernel_basis
 from padiclt.padics import (
     ContextMismatchError,
@@ -223,3 +224,11 @@ def test_determinant_of_empty_matrix_and_other_ring():
     assert determinant([], ctx).key() == ctx.one().key()
     with pytest.raises(ContextMismatchError):
         determinant([[make_context(5, 2, 6).one()]], ctx)
+
+
+def test_packed_kernels_at_precision_zero():
+    # p^0 = 1 makes every slot bound 0; the slots still need a nonzero width
+    ctx = make_context(3, 2, 6)
+    z = ctx.zero().at_precision(0)
+    assert determinant([[z, z], [z, z]], ctx).key() == z.key()
+    assert [[x.key() for x in row] for row in mat_mul([[z]], [[z]])] == [[z.key()]]

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padiclt.divalg import DivElem
 from padiclt.padics import (
     ContextMismatchError,
     NonUnitError,
     PadicScalar,
     UnramContext,
+    _coords_mul,
     _is_irreducible_mod_p,
+    _pack,
+    _reduce_packed,
+    _slot_width,
+    _unpack,
     frobenius,
     make_context,
     scalar_add,
@@ -248,3 +254,57 @@ def test_equality_compares_at_the_least_precision(ca, cb, na, nb):
     if na == nb:
         assert (a == b) == (a.coords == b.coords)
     assert a == a.at_precision(n) and a.at_precision(n) == a
+
+
+def test_from_coords_rejects_more_than_e_coordinates():
+    ctx = make_context(5, 1, 4)
+    assert ctx.from_coords([-3]).coords == (622,)
+    with pytest.raises(ValueError):
+        ctx.from_coords([-3, 5 ** 8])
+    # the same check on outside input: a coefficient with three coordinates at e = 2
+    with pytest.raises(ValueError):
+        DivElem.from_json(CTX32, '{"coeffs": [[1, 2, 3], [0, 1]]}')
+
+
+def _reduce_poly(prod, modulus, e, pn):
+    """Reference: prod mod (Phi, pn) one degree at a time, from the top."""
+    for d in range(len(prod) - 1, e - 1, -1):
+        c = prod[d]
+        if c:
+            prod[d] = 0
+            for k in range(e):
+                prod[d - e + k] = (prod[d - e + k] - c * modulus[k]) % pn
+    return tuple(prod[:e])
+
+
+_REDUCTION_CTX = {(p, e): make_context(p, e, 8) for p in (2, 3, 5) for e in range(1, 6)}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 10 ** 6))
+def test_packed_reduction_matches_reduce_poly(top, count, seed):
+    # a packed sum of `count` products of coordinates below p^top, once with
+    # every slot at the largest value the slot width allows for and once with
+    # random slots below it: _unpack inverts _pack, and the sum reduced at
+    # p^top and then cut mod p^q is the reduction one degree at a time at p^q,
+    # for every q <= top (divalg.mat_mul and div_mul rely on this)
+    rng = random.Random(seed)
+    for (p, e), ctx in _REDUCTION_CTX.items():
+        pn = p ** top
+        bound = count * e * (pn - 1) ** 2
+        width = _slot_width(count, e, pn)
+        for slots in ([bound] * (2 * e - 1), [rng.randint(0, bound) for _ in range(2 * e - 1)]):
+            packed = _pack(slots, width)
+            assert _unpack(packed, width, 2 * e - 1) == tuple(slots)
+            got = _reduce_packed({5: packed, 9: 0}, width, ctx.modulus, e, pn)
+            assert set(got) <= {5} and got.get(5, 0) >> (e * width) == 0
+            coords = _unpack(got.get(5, 0), width, e)
+            for q in range(1, top + 1):
+                pq = p ** q
+                want = _reduce_poly([v % pq for v in slots], ctx.modulus, e, pq)
+                assert tuple(c % pq for c in coords) == want
+        # the unpacked product folds by the same rows
+        a, b = (tuple(rng.randrange(pn) for _ in range(e)) for _ in range(2))
+        prod = [sum(a[i] * b[d - i] for i in range(e) if 0 <= d - i < e) % pn
+                for d in range(2 * e - 1)]
+        assert _coords_mul(a, b, ctx.modulus, e, pn) == _reduce_poly(prod, ctx.modulus, e, pn)
