@@ -20,9 +20,8 @@ threshold and fails on no figure.
                             (p, h, N) = (3, 3, 8), Dmax=6
     domain.gamma_act_h4     the same at (p, h, N) = (3, 4, 8), Dmax=6, where the
                             Horner scheme of the substitution has a middle level
-    domain.substitution_data
-                            the substituted generators of a Gamma_1 element,
-                            (p, h, N) = (3, 3, 8), Dmax=6, without den_inv
+    domain.den_power        den^(-8) for the denominator of a Gamma_1 element,
+                            (p, h, N) = (3, 3, 8), Dmax=6 (action-law's s = -2, D = 6)
     linalg.kernel_basis     the system of operator_kernel for x_01, x_02 at
                             (p, h, N) = (3, 3, 8), Dmax=8 (criterion 12's n-row kernel)
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
@@ -82,11 +81,12 @@ def _gamma_act(h: int = 3):
     return lambda: domain.gamma_act(gamma, f)
 
 
-def _substitution_data():
+def _den_power():
     ctx = make_context(3, 3, 8)
-    gamma = sample_gamma(ctx, 1, random.Random(1))
-    nums, den = domain._gamma_weights(gamma, 3, ctx, 6)
-    return lambda: domain._substitution_data(nums, den)
+    mat = domain._gamma_matrix(sample_gamma(ctx, 1, random.Random(1)))
+    den = domain.DomainFunc(ctx, 3, 6, {(0, 0): mat[0][0], (1, 0): mat[1][0],
+                                        (0, 1): mat[2][0]})
+    return lambda: domain._den_power(den, -8)
 
 
 def _kernel_basis():
@@ -164,7 +164,7 @@ LAYERS = {
     "domain.DomainFunc.mul": _domainfunc_mul,
     "domain.gamma_act": _gamma_act,
     "domain.gamma_act_h4": lambda: _gamma_act(4),
-    "domain.substitution_data": _substitution_data,
+    "domain.den_power": _den_power,
     "linalg.kernel_basis": _kernel_basis,
     "padics.frobenius": _frobenius,
     "domain.lie_act": _lie_act,

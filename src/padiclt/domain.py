@@ -21,11 +21,20 @@ A DomainFunc is a series.TruncSeries in h-1 variables over UnramRing(ctx):
 sums, scalings, powers, equality and products are the series ones, and each
 builds a DomainFunc again.  Products go through series._lazy_combine, which
 gives a product one absolute precision, the least of its inputs (see the
-series module docstring).  _substitution_data divides the numerators by
-den = c0 (1 + eps) as (c0^-1 num) * 1/(1 + eps), so the unit c0^-1 scales h
-terms, not a dense series; den_inv itself is built only for a negative
-twist.  _apply_substitution evaluates f(P) by a Horner scheme in the
-generators, entirely on packed integers at one precision and slot width.
+series module docstring).
+
+The action is linear in the homogeneous coordinates (w_0 := 1, w_1, ...,
+w_{h-1}), as a pullback of sections of O(s) on P^{h-1}: den and the
+numerators num_i are the columns of the substitution matrix, read as linear
+forms.  For f of total degree D, homogenised as F(w_0, w) =
+sum_a c_a w_0^(D-|a|) w^a,
+
+    f(num/den) den^s = F(den, num) den^(s-D),
+
+which _act computes as one _apply_substitution, the h linear forms its
+generators, times _den_power, a binomial series.  The result has one
+precision, the least of f, of the numerators f uses and of den; a constant
+f at s = 0 does not meet den, and _act returns it as it is.
 
 Each Lie operator is one monomial map: the (i,j) matrix unit (w_0 := 1) sends
 w^a to k w^(a - e_j + e_i), k = a_j for j != 0 and k = s - |a| for j = 0 (s
@@ -41,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 from .divalg import DivElem, div_one, j_embed
+from .formal import _binom_int
 from .linalg import KernelResult, determinant, kernel_basis, pivot_divider
 from .padics import (
     NonUnitError,
@@ -63,7 +73,6 @@ from .series import (
     _products,
     _right,
     _unpack_terms,
-    geometric_inverse,
 )
 
 
@@ -234,31 +243,15 @@ def monomial_section(ctx, h, dmax, exp, s: int) -> Section:
     return Section(domain_monomial(ctx, h, dmax, exp), s)
 
 
-def _substitution_data(nums: list[DomainFunc], den: DomainFunc,
-                       inverse: bool = False) -> tuple[list[DomainFunc], DomainFunc | None]:
-    """Substituted generators nums[i]/den, plus den_inv if `inverse` asks for it.
+def _apply_substitution(f: TruncSeries, gens: list[DomainFunc]) -> DomainFunc:
+    """f(P): every variable X_i of f replaced by P_i = gens[i], cut at f's Dmax.
 
-    den = c0 (1 + eps) with c0 a unit, and u = 1/(1 + eps) is the geometric
-    series sum (-eps)^k, exact to the truncation since eps has positive
-    degree.  nums[i]/den is (c0^-1 nums[i]) u: the unit c0^-1 scales the
-    h terms of a numerator, not the dense u.  den_inv = c0^-1 u is built only
-    on request (a negative twist), and is None otherwise.
-    """
-    c0 = den.coeff((0,) * den.nvars)
-    if c0.valuation() != 0:
-        raise NonUnitError("denominator constant term is not a unit")
-    c0inv = scalar_inv(c0)
-    u = geometric_inverse(den.scale(c0inv))
-    gens = [num.scale(c0inv).mul(u) for num in nums]
-    return gens, u.scale(c0inv) if inverse else None
-
-
-def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
-    """f(P): every w_i of f replaced by P_{i-1} = gens[i-1], cut at f's Dmax.
+    f has any arity and one generator per variable, which share its Dmax; the
+    generators set the result's arity (f's if there are none, as at h = 1).
 
     A multivariate Horner scheme (Ceberio and Kreinovich, "Greedy algorithms
     for optimizing multivariate Horner schemes", SIGSAM Bull. 38(1), 2004).
-    Grouping the terms of f by their exponent of w_1 gives
+    Grouping the terms of f by their exponent of X_0 gives
     f(P) = sum_a P_0^a g_a(P_1, ...), summed as acc = acc * P_0 + g_a from
     the top exponent down, with one product by P_0 per step, also where no
     term has that exponent.  Each g_a is summed the same way in P_1, and so
@@ -282,16 +275,17 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
     the sizes of the substituted generators plus Dmax + 1 bound every step's
     count of products, the powers of P_last included.
     """
-    ctx, nvars, dmax = f.ctx, f.nvars, f.dmax
+    ctx, nvars, dmax = f.ring.ctx, f.nvars, f.dmax
+    like = gens[0] if gens else f
     if not f.terms:
-        return f._build({}, filtered=True)
+        return like._build({}, filtered=True)
     used = [i for i in range(nvars) if any(e[i] for e in f.terms)]
     q = min(c.prec for g in (f, *(gens[i] for i in used)) for c in g.terms.values())
     pn, modulus = ctx.p ** q, ctx.modulus
     width = _slot_width(sum(len(gens[i].terms) for i in used) + dmax + 1, ctx.e, pn)
     stride = dmax + 1
-    top = stride ** nvars  # a key's degree digit
-    const = (0,) * nvars
+    top = stride ** like.nvars  # a key's degree digit
+    const = (0,) * like.nvars
 
     def left(packed: dict[int, int]) -> list[tuple[int, int, int]]:
         return [(k // top, k, x) for k, x in packed.items()]
@@ -323,38 +317,58 @@ def _apply_substitution(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
                 step += pairs(groups[a], i + 1)
         return step
 
-    out = _unpack_terms(step_sum(pairs(f.terms, 0)), ctx, nvars, stride, width, q)
-    return f._build(out, filtered=True)
+    out = _unpack_terms(step_sum(pairs(f.terms, 0)), ctx, like.nvars, stride, width, q)
+    return like._build(out, filtered=True)
 
 
-def _gamma_weights(gamma: DivElem, h: int, ctx, dmax: int):
-    """Numerators and denominator of the substitution for gamma."""
-    lam = gamma.coeffs
-    p = ctx.p
-    nums = []
-    for i in range(1, h):
-        terms: dict = {}
-        zero = [0] * (h - 1)
-        for jj in range(1, h + 1):
-            if jj <= i:
-                coef = frobenius(lam[i - jj], jj)
-            else:
-                coef = scalar_mul_int(frobenius(lam[(h + i - jj) % h], jj % h), p)
-            if jj == h:
-                exp = tuple(zero)  # w_h := 1
-            else:
-                e = zero[:]
-                e[jj - 1] = 1
-                exp = tuple(e)
-            terms[exp] = scalar_add(terms[exp], coef) if exp in terms else coef
-        nums.append(DomainFunc(ctx, h, dmax, terms))
-    den_terms = {tuple([0] * (h - 1)): lam[0]}
-    for jj in range(1, h):
-        e = [0] * (h - 1)
-        e[jj - 1] = 1
-        den_terms[tuple(e)] = frobenius(lam[h - jj], jj)
-    den = DomainFunc(ctx, h, dmax, den_terms)
-    return nums, den
+def _den_power(den: DomainFunc, m: int) -> DomainFunc:
+    """den^m = sum_{k <= Dmax} C(m, k) c0^(m-k) t^k for any integer m, t = den - c0.
+
+    t^k = 0 beyond Dmax, and C(m, k) is formal._binom_int (0 for k > m >= 0).
+    The sum is one _apply_substitution in t; its coefficients start from 1 at
+    den's least precision, so den^m, den^0 included, has that precision.
+    """
+    const = (0,) * den.nvars
+    c0 = den.coeff(const)
+    if c0.valuation() != 0:
+        raise NonUnitError("denominator constant term is not a unit")
+    base = c0 if m >= 0 else scalar_inv(c0)
+    top = min(m, den.dmax) if m >= 0 else den.dmax
+    pows = [den.ctx.from_int(1, min(c.prec for c in den.terms.values()))]
+    for _ in range(m if m >= 0 else top - m):
+        pows.append(scalar_mul(pows[-1], base))
+    binom = TruncSeries(den.ring, 1, den.dmax, {
+        (k,): scalar_mul_int(pows[abs(m - k)], _binom_int(m, k)) for k in range(top + 1)})
+    t = den._build({e: c for e, c in den.terms.items() if e != const}, filtered=True)
+    return _apply_substitution(binom, [t])
+
+
+def _act(f: DomainFunc, mat: list[list[PadicScalar]], s: int) -> DomainFunc:
+    """f(num/den) den^s as F(den, num) den^(s-D), see the module docstring: column
+    c of `mat` is the form sum_r mat[r][c] w_r (w_0 := 1), den for c = 0, else num_c."""
+    if not f.terms:
+        return f
+    ctx, h, dmax = f.ctx, f.h, f.dmax
+    deg = max(map(sum, f.terms))
+    if not deg and not s:
+        return f
+    unit = [tuple(int(j == r) for j in range(1, h)) for r in range(h)]
+    cols = [DomainFunc(ctx, h, dmax, {unit[r]: mat[r][c] for r in range(h)}) for c in range(h)]
+    hom = TruncSeries(f.ring, h, dmax, {(deg - sum(e),) + e: c for e, c in f.terms.items()})
+    return _apply_substitution(hom, cols).mul(_den_power(cols[0], s - deg))
+
+
+def _gamma_matrix(gamma: DivElem) -> list[list[PadicScalar]]:
+    """The substitution matrix of gamma by the formula of the module docstring:
+    row r holds the coefficients of w_r, and row 0 the term j = h (w_h := 1)."""
+    lam, h, p = gamma.coeffs, gamma.h, gamma.ctx.p
+
+    def entry(r: int, c: int) -> PadicScalar:
+        j = r or h
+        x = frobenius(lam[(c - j) % h], j)
+        return scalar_mul_int(x, p) if 0 < c < j else x
+
+    return [[entry(r, c) for c in range(h)] for r in range(h)]
 
 
 def gamma_act(gamma: DivElem, x: Section | DomainFunc, dmax: int | None = None):
@@ -371,18 +385,9 @@ def gamma_act(gamma: DivElem, x: Section | DomainFunc, dmax: int | None = None):
         raise ValueError("gamma and section live over different contexts")
     if not gamma.is_unit():
         raise NonUnitError("gamma is not a unit of the maximal order")
-    dm = f.dmax if dmax is None else dmax
-    if dm != f.dmax:
-        f = DomainFunc(ctx, h, dm, dict(f.terms))
-    nums, den = _gamma_weights(gamma, h, ctx, dm)
-    s = x.twist
-    gens, den_inv = _substitution_data(nums, den, inverse=s < 0)
-    out = _apply_substitution(f, gens)
-    if s > 0:
-        out = out.mul(den.pow(s))
-    elif s < 0:
-        out = out.mul(den_inv.pow(-s))
-    return Section(out, s)
+    if dmax not in (None, f.dmax):
+        f = DomainFunc(ctx, h, dmax, dict(f.terms))
+    return Section(_act(f, _gamma_matrix(gamma), x.twist), x.twist)
 
 
 def sample_parabolic(ctx: UnramContext, h: int, rng) -> list[list[PadicScalar]]:
@@ -418,29 +423,14 @@ def in_parabolic(a: list[list[PadicScalar]], p: int) -> bool:
 
 
 def p_act(a: list[list[PadicScalar]], f: DomainFunc, dmax: int | None = None) -> DomainFunc:
-    """a(w_i) = (a_{0i} + sum_j a_{ji} w_j) / (a_{00} + sum_j a_{j0} w_j)."""
+    """a(w_i) = (a_{0i} + sum_j a_{ji} w_j) / (a_{00} + sum_j a_{j0} w_j): `a` is
+    the substitution matrix of _act."""
     ctx, h = f.ctx, f.h
     if not in_parabolic(a, ctx.p):
         raise NotInPError("matrix fails the P-membership conditions")
-    dm = f.dmax if dmax is None else dmax
-    if dm != f.dmax:
-        f = DomainFunc(ctx, h, dm, dict(f.terms))
-    nums = []
-    for i in range(1, h):
-        terms = {tuple([0] * (h - 1)): a[0][i]}
-        for j in range(1, h):
-            e = [0] * (h - 1)
-            e[j - 1] = 1
-            terms[tuple(e)] = a[j][i]
-        nums.append(DomainFunc(ctx, h, dm, terms))
-    den_terms = {tuple([0] * (h - 1)): a[0][0]}
-    for j in range(1, h):
-        e = [0] * (h - 1)
-        e[j - 1] = 1
-        den_terms[tuple(e)] = a[j][0]
-    den = DomainFunc(ctx, h, dm, den_terms)
-    gens, _ = _substitution_data(nums, den)
-    return _apply_substitution(f, gens)
+    if dmax not in (None, f.dmax):
+        f = DomainFunc(ctx, h, dmax, dict(f.terms))
+    return _act(f, a, 0)
 
 
 def lie_act(i: int, j: int, x: Section) -> Section:

@@ -44,13 +44,14 @@ SCHEMA_VERSION = 1
 LIE_BRACKET_TRIALS = 200_000   # h = 5: 157,500 trials; h = 6: 653,184
 KERNEL_COLUMNS = 1_000         # monomials of degree <= 8; h = 5: 495; h = 6: 1,287
 # p-adic digits of the largest function the action experiments build, see
-# _check_action_budget; at N = 8, h <= 5 fits dheq-vs-matrix and action-law
-# and h <= 4 fits contraction and dist-norms, and action-law at h = 2 fits
-# N <= 68
+# _check_action_budget; at N = 8, h <= 5 fits dheq-vs-matrix, action-law and
+# vs-stability, h <= 4 fits contraction and dist-norms, and action-law at
+# h = 2 fits N <= 68
 ACTION_DIGITS = 20_000
 # p-adic digits 2^h h N of the determinant behind Nrd: 2^h subset states, each
 # a minor of h coordinates of N digits; at N = 8, h <= 8 fits j-homomorphism
 NRD_DIGITS = 20_000
+LEVEL_DEGREE = 80  # 6(p-1)+2 of level-structure: p = 13 gives 74, p = 17 gives 98
 
 
 @dataclass
@@ -566,6 +567,8 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Size budget: functions of degree <= s + 2 = 7 (h <= 5 at N = 8)."""
+    _check_action_budget(cfg, 7)
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -902,10 +905,15 @@ def exp_height(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+    """Size budget: the group law's truncation degree 6(p-1)+2 <= LEVEL_DEGREE."""
     p = cfg.p
-    prec = 6
     dm = 6 * (p - 1) + 2
+    if dm > LEVEL_DEGREE:
+        raise ConfigInvalidError(
+            f"level-structure at p = {p} truncates its Lubin-Tate group at degree {dm}; "
+            f"the budget is {LEVEL_DEGREE} (p <= 13)")
+    rec = _Recorder(cfg)
+    prec = 6
     t0 = time.perf_counter()
     M = formal.lt_construct(p, {1: p, p: 1}, dm, prec)
     tors = formal.torsion_polynomial(M, 1)

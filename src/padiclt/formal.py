@@ -40,7 +40,7 @@ def _binom_int(a: int, n: int) -> int:
     if n == 0:
         return 1
     if a >= 0:
-        return math.comb(a, n) if a >= n else (math.comb(a, n) if a >= 0 else 0)
+        return math.comb(a, n)
     return (-1) ** n * math.comb(n - a - 1, n)
 
 

@@ -18,7 +18,7 @@ def test_bench_layers_smoke(tmp_path):
     assert report["k"] == 1 and report["environment"]["nproc"] >= 1
     assert set(report["median_s"]) == {
         "series.TruncSeries.mul", "formal.lt_construct", "domain.DomainFunc.mul",
-        "domain.gamma_act", "domain.gamma_act_h4", "domain.substitution_data",
+        "domain.gamma_act", "domain.gamma_act_h4", "domain.den_power",
         "linalg.kernel_basis", "linalg.determinant", "padics.frobenius",
         "domain.lie_act", "divalg.nrd", "divalg.mat_mul", "divalg.div_mul", "divalg.div_inv"}
     assert all(t > 0 for t in report["median_s"].values())

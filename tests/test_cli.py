@@ -67,11 +67,20 @@ def test_action_experiments_exit_2_beyond_their_budget():
             run(ExperimentConfig(name, h=12))
     assert main(["run", "dheq-vs-matrix", "--h", "6"]) == 2
     assert main(["run", "action-law", "--h", "6"]) == 2
+    assert main(["run", "vs-stability", "--h", "6"]) == 2
     assert main(["run", "contraction", "--h", "5"]) == 2
     assert main(["run", "dist-norms", "--h", "5"]) == 2
     # at h = 2 the exact low-degree checks truncate at degree 2N + 6 and 2N + 5
     assert main(["run", "action-law", "--h", "2", "--N", "69"]) == 2
     assert main(["run", "dist-norms", "--h", "2", "--N", "70"]) == 2
+
+
+def test_level_structure_exits_2_beyond_its_degree_budget():
+    # the Lubin-Tate group law is truncated at degree 6(p-1)+2: p = 101 needs 602
+    assert main(["run", "level-structure", "--p", "101"]) == 2
+    assert main(["run", "level-structure", "--p", "17"]) == 2
+    with pytest.raises(ConfigInvalidError, match="budget"):
+        run(ExperimentConfig("level-structure", p=17, h=1, e=1))
 
 
 @pytest.mark.parametrize("dmax", [13, 16])

@@ -673,9 +673,73 @@ def _reference_horner(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
     return f._build(out, filtered=True)
 
 
+def _reference_gamma_weights(gamma, h: int, ctx, dmax: int):
+    """Numerators and denominator of the substitution for gamma, built term by
+    term from the formula of the domain module docstring."""
+    lam = gamma.coeffs
+    p = ctx.p
+    nums = []
+    for i in range(1, h):
+        terms: dict = {}
+        zero = [0] * (h - 1)
+        for jj in range(1, h + 1):
+            if jj <= i:
+                coef = frobenius(lam[i - jj], jj)
+            else:
+                coef = scalar_mul_int(frobenius(lam[(h + i - jj) % h], jj % h), p)
+            if jj == h:
+                exp = tuple(zero)  # w_h := 1
+            else:
+                e = zero[:]
+                e[jj - 1] = 1
+                exp = tuple(e)
+            terms[exp] = scalar_add(terms[exp], coef) if exp in terms else coef
+        nums.append(DomainFunc(ctx, h, dmax, terms))
+    den_terms = {tuple([0] * (h - 1)): lam[0]}
+    for jj in range(1, h):
+        e = [0] * (h - 1)
+        e[jj - 1] = 1
+        den_terms[tuple(e)] = frobenius(lam[h - jj], jj)
+    return nums, DomainFunc(ctx, h, dmax, den_terms)
+
+
+def _reference_p_weights(a, h: int, ctx, dmax: int):
+    """Numerators a_{0i} + sum_j a_{ji} w_j and denominator a_{00} + sum_j a_{j0} w_j."""
+    def column(i):
+        terms = {tuple([0] * (h - 1)): a[0][i]}
+        for j in range(1, h):
+            e = [0] * (h - 1)
+            e[j - 1] = 1
+            terms[tuple(e)] = a[j][i]
+        return DomainFunc(ctx, h, dmax, terms)
+    return [column(i) for i in range(1, h)], column(0)
+
+
+def _generator_substitution_data(nums: list[DomainFunc], den: DomainFunc, inverse: bool = False):
+    """nums[i]/den as (c0^-1 nums[i]) * 1/(1 + eps), and den_inv on request."""
+    c0 = den.coeff((0,) * den.nvars)
+    if c0.valuation() != 0:
+        raise padics.NonUnitError("denominator constant term is not a unit")
+    c0inv = scalar_inv(c0)
+    u = series.geometric_inverse(den.scale(c0inv))
+    gens = [num.scale(c0inv).mul(u) for num in nums]
+    return gens, u.scale(c0inv) if inverse else None
+
+
+def _generator_act(f: DomainFunc, nums: list[DomainFunc], den: DomainFunc, s: int) -> DomainFunc:
+    """f(nums/den) * den^s by the generators nums[i]/den and the twist branches."""
+    gens, den_inv = _generator_substitution_data(nums, den, inverse=s < 0)
+    out = _reference_horner(f, gens)
+    if s > 0:
+        out = out.mul(den.pow(s))
+    elif s < 0:
+        out = out.mul(den_inv.pow(-s))
+    return out
+
+
 def _reference_gamma_act(gamma, x: Section) -> Section:
     f, s = x.func, x.twist
-    nums, den = domain._gamma_weights(gamma, f.h, f.ctx, f.dmax)
+    nums, den = _reference_gamma_weights(gamma, f.h, f.ctx, f.dmax)
     gens, den_inv = _reference_substitution_data(nums, den)
     out = _reference_horner(f, gens)
     if s > 0:
@@ -725,9 +789,8 @@ _GAMMA_CTX = {h: make_context(3 if h < 5 else 2, h, 6) for h in range(2, 6)}
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(st.integers(0, 10 ** 6), st.booleans())
 def test_gamma_act_matches_the_reference_path(seed, mixed):
-    # the whole twisted action, c0^-1 on the numerators and the packed
-    # substitution, against the bodies they replaced; den_inv is built only
-    # when asked for, and equals the old one then
+    # the whole twisted action against f(num/den) den^s with the dense inverse
+    # den_inv = c0^-1 / (1 + eps) and the Horner oracle
     rng = random.Random(seed)
     for h in range(2, 6):
         ctx = _GAMMA_CTX[h]
@@ -741,31 +804,118 @@ def test_gamma_act_matches_the_reference_path(seed, mixed):
             want = _reference_gamma_act(gamma, Section(f, s))
             assert got.twist == want.twist == s
             _assert_identical(got.func, want.func)
-            nums, den = domain._gamma_weights(gamma, h, ctx, dmax)
-            gens, den_inv = domain._substitution_data(nums, den, inverse=True)
-            ref_gens, ref_inv = _reference_substitution_data(nums, den)
-            for g, r in zip(gens, ref_gens):
-                _assert_identical(g, r)
-            _assert_identical(den_inv, ref_inv)
-            assert domain._substitution_data(nums, den)[1] is None
 
 
-def test_substitution_data_with_mixed_precision_coefficients():
-    # numerators and denominator whose coefficients have different
-    # precisions: scaling the numerators instead of the inverse keeps q
-    rng = random.Random(24)
-    for h in (2, 3, 4):
-        ctx = _GAMMA_CTX[h]
-        for _ in range(6):
-            gamma = sample_gamma(ctx, rng.randint(0, 1), rng)
-            nums, den = domain._gamma_weights(gamma, h, ctx, 4)
-            nums = [_mixed_precision(g, rng, 2) for g in nums]
-            den = _mixed_precision(den, rng, 2)
-            gens, den_inv = domain._substitution_data(nums, den, inverse=True)
-            ref_gens, ref_inv = _reference_substitution_data(nums, den)
-            for g, r in zip(gens, ref_gens):
-                _assert_identical(g, r)
-            _assert_identical(den_inv, ref_inv)
+_ACT_CTX = {h: make_context(3 if h < 5 else 2, h, 6) for h in range(1, 6)}
+
+
+def _mixed_scalar(c, rng, low: int):
+    return c.at_precision(rng.randint(low, c.ctx.N))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10 ** 6), st.booleans())
+def test_act_matches_the_generator_path(h, seed, mixed):
+    # gamma_act and p_act against the generators nums[i]/den, the Horner
+    # oracle and the twist branches, for every twist s from -3 to D + 2
+    # (den^(s-D) a polynomial from s = D on); "mixed" cuts every matrix entry
+    # and every coefficient of f to its own precision
+    ctx = _ACT_CTX[h]
+    rng = random.Random(seed)
+    dmax = rng.randint(0, 7 - h) if h > 1 else 3
+    f = random_domain_func(ctx, h, rng.randint(0, dmax), rng)
+    f = DomainFunc(ctx, h, dmax, dict(f.terms))
+    gamma = sample_gamma(ctx, rng.randint(0, 2), rng)
+    a = domain.sample_parabolic(ctx, h, rng)
+    if mixed:
+        f = _mixed_precision(f, rng, 1)
+        gamma = type(gamma)(ctx, tuple(_mixed_scalar(c, rng, 1) for c in gamma.coeffs))
+        a = [[_mixed_scalar(c, rng, 1) for c in row] for row in a]
+    D = max(map(sum, f.terms))
+    nums, den = _reference_gamma_weights(gamma, h, ctx, dmax)
+    for s in range(-3, D + 3):
+        got = gamma_act(gamma, Section(f, s))
+        assert got.twist == s
+        _assert_identical(got.func, _generator_act(f, nums, den, s))
+    _assert_identical(p_act(a, f), _generator_act(f, *_reference_p_weights(a, h, ctx, dmax), 0))
+    # each substituted generator w_i -> nums[i]/den, precision included
+    gens, den_inv = _generator_substitution_data(nums, den, inverse=True)
+    _, ref_inv = _reference_substitution_data(nums, den)
+    _assert_identical(den_inv, ref_inv)
+    for i, g in enumerate(gens if dmax else [], 1):
+        _assert_identical(gamma_act(gamma, domain_var(ctx, h, dmax, i)), g)
+
+
+def _matrix_with_den(ctx, h: int, den: dict) -> list:
+    """The identity substitution matrix with column 0 replaced by `den` (row -> scalar)."""
+    mat = [[ctx.one() if r == c else ctx.zero() for c in range(h)] for r in range(h)]
+    for r, c in den.items():
+        mat[r][0] = c
+    return mat
+
+
+def test_act_takes_the_precision_of_den():
+    # den = 1 + w_1 with its constant at precision 3 and f = w_1: every
+    # coefficient of w_1 den^(s-1) has precision 3, den^0 at s = 1 included
+    ctx = CTX3
+    mat = _matrix_with_den(ctx, 3, {0: ctx.from_int(1, prec=3), 1: ctx.one()})
+    f = domain_var(ctx, 3, 6, 1)
+    nums, den = _reference_p_weights(mat, 3, ctx, 6)
+    for s in (0, 1, 2):
+        out = domain._act(f, mat, s)
+        assert out.terms and {c.prec for c in out.terms.values()} == {3}
+        _assert_identical(out, _generator_act(f, nums, den, s))
+    # a constant at s = 0 keeps its own precision: den takes no part
+    c = domain_const(ctx, 3, 6, ctx.from_int(7, prec=5))
+    out = domain._act(c, mat, 0)
+    assert {e: x.key() for e, x in out.terms.items()} == {(0, 0): ((7, 0, 0), 5)}
+    _assert_identical(out, _generator_act(c, nums, den, 0))
+    assert {x.prec for x in domain._act(c, mat, 1).terms.values()} == {3}
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+def test_gamma_matrix_matches_the_term_by_term_weights(h):
+    rng = random.Random(40 + h)
+    ctx = _ACT_CTX[h]
+    unit = [tuple(int(j == r) for j in range(1, h)) for r in range(h)]
+    for n in (0, 1, 2):
+        gamma = sample_gamma(ctx, n, rng)
+        nums, den = _reference_gamma_weights(gamma, h, ctx, 2)
+        mat = domain._gamma_matrix(gamma)
+        for c, col in enumerate([den, *nums]):
+            for r in range(h):
+                if unit[r] in col.terms:
+                    assert mat[r][c].key() == col.terms[unit[r]].key(), (r, c)
+                else:
+                    assert mat[r][c].is_zero_at_precision(), (r, c)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.integers(-6, 8), st.integers(0, 10 ** 6), st.booleans())
+def test_den_power_matches_pow_and_the_geometric_inverse(h, m, seed, mixed):
+    ctx = _ACT_CTX[h]
+    rng = random.Random(seed)
+    dmax = rng.randint(0, 6)
+    _, den = _reference_gamma_weights(sample_gamma(ctx, rng.randint(0, 1), rng), h, ctx, dmax)
+    if mixed:
+        den = _mixed_precision(den, rng, 1)
+    got = domain._den_power(den, m)
+    if m > 0:
+        want = den.pow(m)
+    elif m < 0:
+        want = _reference_substitution_data([], den)[1].pow(-m)
+    else:
+        want = domain_const(ctx, h, dmax, ctx.from_int(1, prec=_least_precision(den)))
+    _assert_identical(got, want)
+
+
+def test_den_power_rejects_a_non_unit_constant():
+    from padiclt.padics import NonUnitError
+    w = domain_var(CTX3, 3, 4, 1)
+    for den in (w, w.add(domain_const(CTX3, 3, 4, CTX3.from_int(3)))):
+        for m in (-2, 0, 2):
+            with pytest.raises(NonUnitError):
+                domain._den_power(den, m)
 
 
 def test_monomials_match_filtered_product():

@@ -21,6 +21,7 @@ from padiclt.series import (
 )
 from padiclt.formal import (
     InconclusiveError,
+    _binom_int,
     NotFrobeniusPolyError,
     WrongCardinalityError,
     check_endomorphism,
@@ -514,3 +515,16 @@ def test_lt_construct_matches_full_dmax_induction(p, fdict, dmax):
     _assert_identical(M.work_series()[1], F_work)
     for a in mults:
         _assert_identical(M.mult(a), ref[a])
+
+
+def test_binom_int_for_every_integer_top():
+    # C(a, n) = a (a-1) ... (a-n+1) / n!, which for negative a is the
+    # (-1)^n C(n-a-1, n) that the binomial series of den^a relies on
+    for a in range(-8, 9):
+        for n in range(10):
+            falling = math.prod(range(a - n + 1, a + 1))
+            assert _binom_int(a, n) == falling // math.factorial(n), (a, n)
+            if a < 0:
+                assert _binom_int(a, n) == (-1) ** n * math.comb(n - a - 1, n)
+            else:
+                assert _binom_int(a, n) == math.comb(a, n)
