@@ -15,6 +15,11 @@ threshold and fails on no figure.
     series.TruncSeries.mul  F * F for the working group law F of
                             lt_construct(7, 7X + X^7, Dmax=38, N=8)
     formal.lt_construct     lt_construct(3, 3X + X^3, Dmax=20, N=8)
+    series.compose_univariate
+                            [5]([7](X)) for gm_module(3, Dmax=40, N=8)
+    series.substitute_two   F(F(X, Y), Z) for the group law F of
+                            lt_construct(2, 2X + X^4, Dmax=20, N=8), the
+                            associativity side of formal-group-axioms
     domain.DomainFunc.mul   two dense random functions, (p, h, N) = (5, 3, 8), Dmax=10
     domain.gamma_act        a Gamma_1 element on a dense random function,
                             (p, h, N) = (3, 3, 8), Dmax=6
@@ -52,9 +57,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from padiclt import domain  # noqa: E402
 from padiclt.divalg import div_inv, div_mul, j_embed, mat_mul, nrd, sample_gamma  # noqa: E402
-from padiclt.formal import lt_construct  # noqa: E402
+from padiclt.formal import gm_module, lt_construct  # noqa: E402
 from padiclt.linalg import determinant, kernel_basis  # noqa: E402
 from padiclt.padics import frobenius, make_context  # noqa: E402
+from padiclt.series import TruncSeries, compose_univariate, series_var, substitute_two  # noqa: E402
 
 
 def _truncseries_mul():
@@ -64,6 +70,19 @@ def _truncseries_mul():
 
 def _lt_construct():
     return lambda: lt_construct(3, {1: 3, 3: 1}, 20, 8)
+
+
+def _compose_univariate():
+    G = gm_module(3, 40, 8)
+    f, g = G.mult(5), G.mult(7)
+    return lambda: compose_univariate(f, g)
+
+
+def _substitute_two():
+    F = lt_construct(2, {1: 2, 4: 1}, 20, 8).F
+    u = TruncSeries(F.ring, 3, 20, {(a, b, 0): c for (a, b), c in F.terms.items()})
+    z = series_var(F.ring, 3, 20, 2)
+    return lambda: substitute_two(F, u, z)
 
 
 def _domainfunc_mul():
@@ -161,6 +180,8 @@ def _div_inv():
 LAYERS = {
     "series.TruncSeries.mul": _truncseries_mul,
     "formal.lt_construct": _lt_construct,
+    "series.compose_univariate": _compose_univariate,
+    "series.substitute_two": _substitute_two,
     "domain.DomainFunc.mul": _domainfunc_mul,
     "domain.gamma_act": _gamma_act,
     "domain.gamma_act_h4": lambda: _gamma_act(4),

@@ -19,9 +19,9 @@ extra factor den^s.
 
 A DomainFunc is a series.TruncSeries in h-1 variables over UnramRing(ctx):
 sums, scalings, powers, equality and products are the series ones, and each
-builds a DomainFunc again.  Products go through series._lazy_combine, which
-gives a product one absolute precision, the least of its inputs (see the
-series module docstring).
+builds a DomainFunc again.  A product, like a substitution, has one
+absolute precision, the least of its inputs (see the series module
+docstring).
 
 The action is linear in the homogeneous coordinates (w_0 := 1, w_1, ...,
 w_{h-1}), as a pullback of sections of O(s) on P^{h-1}: den and the
@@ -31,7 +31,7 @@ sum_a c_a w_0^(D-|a|) w^a,
 
     f(num/den) den^s = F(den, num) den^(s-D),
 
-which _act computes as one _apply_substitution, the h linear forms its
+which _act computes as one series.substitute, the h linear forms its
 generators, times _den_power, a binomial series.  The result has one
 precision, the least of f, of the numerators f uses and of den; a constant
 f at s = 0 does not meet den, and _act returns it as it is.
@@ -58,22 +58,13 @@ from .padics import (
     PrecisionLossError,
     UnramContext,
     ZeroAtPrecisionError,
-    _reduce_packed,
-    _slot_width,
     frobenius,
     scalar_add,
     scalar_inv,
     scalar_mul,
     scalar_mul_int,
 )
-from .series import (
-    TruncSeries,
-    UnramRing,
-    _pack_terms,
-    _products,
-    _right,
-    _unpack_terms,
-)
+from .series import TruncSeries, UnramRing, substitute
 
 
 class NotInPError(ValueError):
@@ -243,89 +234,11 @@ def monomial_section(ctx, h, dmax, exp, s: int) -> Section:
     return Section(domain_monomial(ctx, h, dmax, exp), s)
 
 
-def _apply_substitution(f: TruncSeries, gens: list[DomainFunc]) -> DomainFunc:
-    """f(P): every variable X_i of f replaced by P_i = gens[i], cut at f's Dmax.
-
-    f has any arity and one generator per variable, which share its Dmax; the
-    generators set the result's arity (f's if there are none, as at h = 1).
-
-    A multivariate Horner scheme (Ceberio and Kreinovich, "Greedy algorithms
-    for optimizing multivariate Horner schemes", SIGSAM Bull. 38(1), 2004).
-    Grouping the terms of f by their exponent of X_0 gives
-    f(P) = sum_a P_0^a g_a(P_1, ...), summed as acc = acc * P_0 + g_a from
-    the top exponent down, with one product by P_0 per step, also where no
-    term has that exponent.  Each g_a is summed the same way in P_1, and so
-    on; at the last variable a group sum_b c_b P_last^b takes the powers of
-    P_last, built once per call.  Each step is one series._products call
-    over the pairs (acc, P_i) and those of the level below, and one
-    padics._reduce_packed; a level's last step stays a list of pairs for the
-    level above, so the outermost sum is one step as well.
-
-    The result has one precision q: the least precision of any coefficient
-    of f and of any nonempty generator that a term of f substitutes.  The
-    whole substitution runs mod p^q, on packed coordinates (see the padics
-    module docstring): the generators and the powers of P_last are packed
-    once, every Horner sum stays a dict key -> packed int, and scalars and
-    exponent tuples are built only for the result.  Reduction mod p^q is a
-    ring map, so this is f(P) mod p^q exactly, as one flat sum over the
-    terms of f would give it.  One slot width serves every step.  At one
-    output key a step forms at most |P_i| products for a pair (acc, P_i), of
-    which it has at most one per level, and one for each pair (c, P_last^b),
-    of which it has at most Dmax + 1 (the terms of one last-level group); so
-    the sizes of the substituted generators plus Dmax + 1 bound every step's
-    count of products, the powers of P_last included.
-    """
-    ctx, nvars, dmax = f.ring.ctx, f.nvars, f.dmax
-    like = gens[0] if gens else f
-    if not f.terms:
-        return like._build({}, filtered=True)
-    used = [i for i in range(nvars) if any(e[i] for e in f.terms)]
-    q = min(c.prec for g in (f, *(gens[i] for i in used)) for c in g.terms.values())
-    pn, modulus = ctx.p ** q, ctx.modulus
-    width = _slot_width(sum(len(gens[i].terms) for i in used) + dmax + 1, ctx.e, pn)
-    stride = dmax + 1
-    top = stride ** like.nvars  # a key's degree digit
-    const = (0,) * like.nvars
-
-    def left(packed: dict[int, int]) -> list[tuple[int, int, int]]:
-        return [(k // top, k, x) for k, x in packed.items()]
-
-    def step_sum(pairs: list) -> dict[int, int]:
-        return _reduce_packed(_products(pairs, dmax), width, modulus, ctx.e, pn)
-
-    packed = {i: _pack_terms(gens[i].terms, dmax, stride, width, pn) for i in used}
-    right = {i: _right(t) for i, t in packed.items()}
-    pows = [_right([(0, 0, 1)])]
-    for _ in range(max(e[-1] for e in f.terms) if nvars else 0):
-        pows.append(right[nvars - 1] if len(pows) == 1 else
-                    _right(left(step_sum([(packed[nvars - 1], pows[-1])]))))
-
-    def pairs(terms: dict, i: int) -> list:
-        # pairs whose products sum to c * prod_{j >= i} P_j^e_j over the terms
-        # c w^e of `terms`; the powers of P_0..P_{i-1} are the caller's
-        if i >= nvars - 1:
-            return [(_pack_terms({const: c}, dmax, stride, width, pn), pows[e[-1] if e else 0])
-                    for e, c in terms.items()]
-        groups: dict[int, dict] = {}
-        for e, c in terms.items():
-            groups.setdefault(e[i], {})[e] = c
-        step: list = []
-        for a in range(max(groups), -1, -1):
-            if step:
-                step = [(left(step_sum(step)), right[i])]
-            if a in groups:
-                step += pairs(groups[a], i + 1)
-        return step
-
-    out = _unpack_terms(step_sum(pairs(f.terms, 0)), ctx, like.nvars, stride, width, q)
-    return like._build(out, filtered=True)
-
-
 def _den_power(den: DomainFunc, m: int) -> DomainFunc:
     """den^m = sum_{k <= Dmax} C(m, k) c0^(m-k) t^k for any integer m, t = den - c0.
 
     t^k = 0 beyond Dmax, and C(m, k) is formal._binom_int (0 for k > m >= 0).
-    The sum is one _apply_substitution in t; its coefficients start from 1 at
+    The sum is one series.substitute in t; its coefficients start from 1 at
     den's least precision, so den^m, den^0 included, has that precision.
     """
     const = (0,) * den.nvars
@@ -340,7 +253,7 @@ def _den_power(den: DomainFunc, m: int) -> DomainFunc:
     binom = TruncSeries(den.ring, 1, den.dmax, {
         (k,): scalar_mul_int(pows[abs(m - k)], _binom_int(m, k)) for k in range(top + 1)})
     t = den._build({e: c for e, c in den.terms.items() if e != const}, filtered=True)
-    return _apply_substitution(binom, [t])
+    return substitute(binom, [t])
 
 
 def _act(f: DomainFunc, mat: list[list[PadicScalar]], s: int) -> DomainFunc:
@@ -355,7 +268,7 @@ def _act(f: DomainFunc, mat: list[list[PadicScalar]], s: int) -> DomainFunc:
     unit = [tuple(int(j == r) for j in range(1, h)) for r in range(h)]
     cols = [DomainFunc(ctx, h, dmax, {unit[r]: mat[r][c] for r in range(h)}) for c in range(h)]
     hom = TruncSeries(f.ring, h, dmax, {(deg - sum(e),) + e: c for e, c in f.terms.items()})
-    return _apply_substitution(hom, cols).mul(_den_power(cols[0], s - deg))
+    return substitute(hom, cols).mul(_den_power(cols[0], s - deg))
 
 
 def _gamma_matrix(gamma: DivElem) -> list[list[PadicScalar]]:

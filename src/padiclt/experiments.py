@@ -52,6 +52,10 @@ ACTION_DIGITS = 20_000
 # a minor of h coordinates of N digits; at N = 8, h <= 8 fits j-homomorphism
 NRD_DIGITS = 20_000
 LEVEL_DEGREE = 80  # 6(p-1)+2 of level-structure: p = 13 gives 74, p = 17 gives 98
+# truncation degree of the formal-group series that height (p^3 + 2),
+# endomorphism-frobenius (p^h + 4) and gm-identities (Dmax) build: height
+# fits p <= 7, endomorphism-frobenius p = 2 to h = 8 and p = 7 to h = 3
+FORMAL_DEGREE = 400
 
 
 @dataclass
@@ -186,6 +190,14 @@ def _check_action_budget(cfg: ExperimentConfig, degree: int) -> None:
         raise ConfigInvalidError(
             f"{cfg.experiment} at h = {cfg.h}, N = {cfg.N} builds functions of degree "
             f"<= {degree} with {digits} p-adic digits; the budget is {ACTION_DIGITS}")
+
+
+def _check_formal_budget(cfg: ExperimentConfig, degree: int) -> None:
+    """Reject a config whose formal-group series runs past degree FORMAL_DEGREE."""
+    if degree > FORMAL_DEGREE:
+        raise ConfigInvalidError(
+            f"{cfg.experiment} at p = {cfg.p}, h = {cfg.h}, Dmax = {cfg.Dmax} truncates a "
+            f"formal-group series at degree {degree}, beyond its budget {FORMAL_DEGREE}")
 
 
 # ---------------------------------------------------------------- experiments
@@ -809,6 +821,8 @@ def exp_formal_group_axioms(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_gm_identities(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Size budget: series of degree Dmax <= FORMAL_DEGREE."""
+    _check_formal_budget(cfg, cfg.Dmax)
     rec = _Recorder(cfg)
     p = cfg.p
     dmax = cfg.Dmax
@@ -880,6 +894,8 @@ def exp_logarithm(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_height(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Size budget: the height-3 law's degree p^3 + 2 <= FORMAL_DEGREE (p <= 7)."""
+    _check_formal_budget(cfg, cfg.p ** 3 + 2)
     rec = _Recorder(cfg)
     p = cfg.p
     t0 = time.perf_counter()
@@ -944,6 +960,11 @@ def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Size budget: the law's degree p^h + 4 <= FORMAL_DEGREE."""
+    if cfg.h > FORMAL_DEGREE.bit_length():  # then p^h > FORMAL_DEGREE for every p
+        raise ConfigInvalidError(f"endomorphism-frobenius at h = {cfg.h} truncates a "
+                                 f"formal-group series beyond its budget {FORMAL_DEGREE}")
+    _check_formal_budget(cfg, cfg.p ** cfg.h + 4)
     rec = _Recorder(cfg)
     p = cfg.p
     hh = cfg.h

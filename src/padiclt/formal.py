@@ -342,30 +342,26 @@ def _poly_compose_int(outer: dict[int, int], inner: dict[int, int]) -> dict[int,
 
 def eval_series_in_quot(series: TruncSeries, x, ring: QuotRing):
     """Horner evaluation of a one-variable series at a quotient-ring element."""
-    deg = max((e[0] for e in series.terms), default=0)
     acc = ring.zero()
-    for d in range(deg, 0, -1):
-        acc = ring.mul(acc, x)
+    for d in range(max((e[0] for e in series.terms), default=0), -1, -1):
         c = series.coeff((d,))
-        acc = ring.add(acc, (c if isinstance(c, tuple) else ring.from_int(c)))
-    acc = ring.mul(acc, x)
-    c0 = series.coeff((0,))
-    return ring.add(acc, c0 if isinstance(c0, tuple) else ring.from_int(c0))
+        acc = ring.add(ring.mul(acc, x), c if isinstance(c, tuple) else ring.from_int(c))
+    return acc
 
 
 def eval_two_var_in_quot(series: TruncSeries, x, y, ring: QuotRing):
-    dx = max((e[0] for e in series.terms), default=0)
-    dy = max((e[1] for e in series.terms), default=0)
-    xp = [ring.one()]
-    for _ in range(dx):
-        xp.append(ring.mul(xp[-1], x))
+    """Horner evaluation in x of a two-variable series: from the top exponent
+    of x down, acc = acc x + row_i, where row_i = sum_j c_ij y^j."""
     yp = [ring.one()]
-    for _ in range(dy):
+    for _ in range(max((e[1] for e in series.terms), default=0)):
         yp.append(ring.mul(yp[-1], y))
-    acc = ring.zero()
+    rows = [ring.zero()] * (max((e[0] for e in series.terms), default=0) + 1)
     for (i, j), c in series.terms.items():
-        term = ring.mul(xp[i], yp[j])
-        acc = ring.add(acc, ring.mul_int(term, c) if isinstance(c, int) else ring.mul(term, c))
+        rows[i] = ring.add(rows[i], ring.mul_int(yp[j], c) if isinstance(c, int)
+                           else ring.mul(yp[j], c))
+    acc = ring.zero()
+    for row in reversed(rows):
+        acc = ring.add(ring.mul(acc, x), row)
     return acc
 
 

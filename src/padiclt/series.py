@@ -9,37 +9,39 @@ polynomial quotients for torsion-point rings.  domain.DomainFunc is a
 TruncSeries over an unramified ring; every operation here builds a result
 of its operand's own type, so a DomainFunc stays one.
 
-This module owns the sparse product engine: _lazy_mul over Z/p^N and
-_lazy_combine over unramified coefficients (the quotient rings only serve
-pointwise evaluation, and a product of series over any other ring raises
-TypeError).  Both are built from _pack_terms, which keys the terms and
-packs their coefficients, and _products, the one product loop; domain's
-substitution uses them too.  A monomial X^a of degree d in n variables is
-keyed by the int d (Dmax+1)^n + sum a_i (Dmax+1)^i, the degree in the top
-digit.  The terms of the right factor are sorted by total degree, so for
-each left term the partners that stay within Dmax are a prefix found by
-bisection; every exponent and degree of a kept pair is at most Dmax, so
-adding two keys never carries from one digit into the next.  Over Z/p^N
-each output key accumulates the plain integer sum of its products and is
-reduced once, `% p^N`: reduction mod p^N is a ring map from Z, so reducing
-the sum equals summing the reduced products.
+This module owns the one sparse product engine, for Z/p^N and unramified
+coefficients alike (the quotient rings only serve pointwise evaluation, and
+a product or substitution over any other ring raises TypeError):
+_lazy_combine, sum_k F_k * G_k over pairs of term dicts (TruncSeries.mul is
+one pair), and substitute, f(P_1, ..., P_n) by a Horner scheme, of which
+compose_univariate and substitute_two are each one call.  Both are built
+from _pack_terms, which keys the terms and packs their coefficients,
+_products, the one product loop, and _kernel, the one dispatch on the ring.
+A monomial X^a of degree d in n variables is keyed by the int
+d (Dmax+1)^n + sum a_i (Dmax+1)^i, the degree in the top digit.  The terms
+of the right factor are sorted by total degree, so for each left term the
+partners that stay within Dmax are a prefix found by bisection; every
+exponent and degree of a kept pair is at most Dmax, so adding two keys never
+carries from one digit into the next.
 
-_lazy_combine computes sum_k F_k * G_k over a list of pairs of term dicts
-without building a scalar per coefficient product.  Coefficients are cut
-mod p^q and packed, and each output key's sum of packed products is
-reduced once mod (Phi, p^q) by padics._reduce_packed (the packed format and
-its slot width are described in the padics module docstring).  At one
-output key a pair (F, G) forms at most min(|F|, |G|) coefficient products,
-since a term of F meets at most one term of G there; the sum C of these
-counts over the pairs is the count that sets the slot width.
+Each output key accumulates the plain integer sum of its products and is
+reduced once.  Over Z/p^N coefficients stay ints and the sum is cut
+`% p^N`: reduction mod p^N is a ring map from Z, so reducing the sum equals
+summing the reduced products.  Over an unramified ring coefficients are cut
+mod p^q and packed, and the sum is reduced once mod (Phi, p^q) by
+padics._reduce_packed (the packed format and its slot width are described
+in the padics module docstring).  At one output key a pair (F, G) forms at
+most min(|F|, |G|) coefficient products, since a term of F meets at most
+one term of G there; the sum of these counts sets the slot width.
 
-A product has one absolute precision q, the least precision of any
-coefficient of the pairs that take part (Caruso, Roe and Vaccon, "Tracking
-p-adic precision", LMS J. Comput. Math. 17A, 2014): every output coefficient
-is the one accumulated integer sum reduced once mod (Phi, p^q).  On inputs
-of one precision it is exactly the per-pair scalar loop; on mixed inputs
-the result claims no more precision than its least precise input, and no
-summation order can change it.
+Over an unramified ring a result has one absolute precision q, the least
+precision of any coefficient that takes part (Caruso, Roe and Vaccon,
+"Tracking p-adic precision", LMS J. Comput. Math. 17A, 2014): of the pairs
+of a product whose two sides are both nonempty, and of f and the generators
+that f uses in a substitution (for compose_univariate and substitute_two, f
+cut at the generators' Dmax).  On inputs of one precision this is exactly
+the per-pair scalar loop; on mixed inputs the result claims no more
+precision than its least precise input, and no summation order changes it.
 """
 
 from __future__ import annotations
@@ -321,8 +323,8 @@ class TruncSeries:
         return self._build({e: mul_int(v, k) for e, v in self.terms.items()})
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
-        return self._build(_lazy_mul(self.ring, self.nvars, self.dmax, self.terms, other.terms),
-                           filtered=True)
+        return self._build(_lazy_combine(self.ring, self.nvars, self.dmax,
+                                         [(self.terms, other.terms)]), filtered=True)
 
     def pow(self, k: int) -> "TruncSeries":
         result = self._build({(0,) * self.nvars: self.ring.one()})
@@ -397,31 +399,6 @@ def geometric_inverse(u: TruncSeries) -> TruncSeries:
     return inv
 
 
-def _lazy_mul(ring, nvars: int, dmax: int, a: dict, b: dict) -> dict:
-    """Terms of the product of the term dicts a and b, truncated at total degree dmax.
-
-    Over Z/p^N equal, coefficient for coefficient, to multiplying every pair
-    of terms with ring.mul and summing with ring.add; over an unramified ring
-    it is _lazy_combine on the one pair.  See the module docstring.
-    """
-    if not a or not b:
-        return {}
-    if isinstance(ring, UnramRing):
-        return _lazy_combine(ring.ctx, nvars, dmax, [(a, b)])
-    if not isinstance(ring, IntModRing):
-        raise TypeError(f"series products need Z/p^N or unramified coefficients, not {ring!r}")
-    stride = dmax + 1
-    sums = _products([(_pack_terms(a, dmax, stride), _right(_pack_terms(b, dmax, stride)))],
-                     dmax)
-    pN = ring.pN
-    out = {}
-    for k, v in sums.items():
-        v %= pN
-        if v:
-            out[_exponent(k, nvars, stride)] = v
-    return out
-
-
 def _pack_terms(terms: dict, dmax: int, stride: int, width: int = 0,
                 pn: int = 0) -> list[tuple[int, int, int]]:
     """(degree, key, x) for each term within dmax; see the module docstring.
@@ -491,37 +468,123 @@ def _unpack_terms(packed: dict[int, int], ctx: UnramContext, nvars: int, stride:
 _prec = attrgetter("prec")
 
 
-def _lazy_combine(ctx: UnramContext, nvars: int, dmax: int,
-                  pairs: list[tuple[dict, dict]]) -> dict[tuple[int, ...], PadicScalar]:
+def _kernel(ring, dicts: list[dict], count: int):
+    """(width, pn, reduce, unpack): how products over `ring` of the term dicts
+    `dicts` run, for at most `count` coefficient products at one output key.
+
+    Over Z/p^N the coefficients stay ints (width 0) and reduce cuts each
+    sum mod pn = p^N.  Over an unramified ring they are packed mod pn = p^q,
+    q the least precision in `dicts`, and reduce is padics._reduce_packed.
+    unpack(packed, nvars, stride) gives the terms of the reduced sums.
+    """
+    if isinstance(ring, IntModRing):
+        pn = ring.pN
+        return (0, pn, lambda acc: {k: r for k, v in acc.items() if (r := v % pn)},
+                lambda packed, nvars, stride: {
+                    _exponent(k, nvars, stride): v for k, v in packed.items()})
+    if not isinstance(ring, UnramRing):
+        raise TypeError(f"series products need Z/p^N or unramified coefficients, not {ring!r}")
+    ctx = ring.ctx
+    precs = []
+    for terms in filter(None, dicts):
+        c = next(iter(terms.values()))
+        if not c.ctx.same_ring(ctx):
+            raise ContextMismatchError(
+                f"context mismatch: (p={ctx.p}, e={ctx.e}) vs (p={c.ctx.p}, e={c.ctx.e})")
+        precs.append(min(map(_prec, terms.values())))
+    q = min(precs)
+    e, modulus, pn = ctx.e, ctx.modulus, ctx.p ** q
+    width = _slot_width(count, e, pn)
+    return (width, pn, lambda acc: _reduce_packed(acc, width, modulus, e, pn),
+            lambda packed, nvars, stride: _unpack_terms(packed, ctx, nvars, stride, width, q))
+
+
+def _lazy_combine(ring, nvars: int, dmax: int, pairs: list[tuple[dict, dict]]) -> dict:
     """Terms of sum F*G over `pairs` of term dicts, truncated at total degree dmax.
 
-    Every coefficient has the one precision q of the module docstring: the
-    least precision of any coefficient of a pair whose two sides are both
-    nonempty.  On inputs of one precision this equals, coordinates and
-    precision both, one scalar_mul/scalar_add per pair of coefficients.
+    Over Z/p^N this equals one ring.mul/ring.add per pair of terms.  Over an
+    unramified ring every coefficient has the one precision q of the module
+    docstring, the least precision of any coefficient of a pair whose two
+    sides are both nonempty; on inputs of one precision this equals,
+    coordinates and precision both, one scalar_mul/scalar_add per pair.
     """
     pairs = [(F, G) for F, G in pairs if F and G]
     if not pairs:
         return {}
-    precs: set[int] = set()
-    count = 0
-    for F, G in pairs:
-        cf, cg = next(iter(F.values())), next(iter(G.values()))
-        if not cf.ctx.same_ring(cg.ctx):
-            raise ContextMismatchError(
-                f"context mismatch: (p={cf.ctx.p}, e={cf.ctx.e}) vs (p={cg.ctx.p}, e={cg.ctx.e})")
-        precs.update(map(_prec, F.values()))
-        precs.update(map(_prec, G.values()))
-        count += min(len(F), len(G))
-    q = min(precs)
-    e = ctx.e
-    pn = ctx.p ** q
-    width = _slot_width(count, e, pn)
+    width, pn, reduce, unpack = _kernel(ring, [d for pair in pairs for d in pair],
+                                        sum(min(len(F), len(G)) for F, G in pairs))
     stride = dmax + 1
     acc = _products([(_pack_terms(F, dmax, stride, width, pn),
                       _right(_pack_terms(G, dmax, stride, width, pn))) for F, G in pairs], dmax)
-    return _unpack_terms(_reduce_packed(acc, width, ctx.modulus, e, pn), ctx, nvars, stride,
-                         width, q)
+    return unpack(reduce(acc), nvars, stride)
+
+
+def substitute(f: TruncSeries, gens: list[TruncSeries]) -> TruncSeries:
+    """f(P): every variable X_i of f replaced by P_i = gens[i], cut at f's Dmax.
+
+    f has any arity and one generator per variable, which share its ring and
+    Dmax; the generators set the result's arity and type (f's if there are
+    none).  A multivariate Horner scheme (Ceberio and Kreinovich, "Greedy
+    algorithms for optimizing multivariate Horner schemes", SIGSAM Bull.
+    38(1), 2004): grouping the terms of f by their exponent of X_0 gives
+    f(P) = sum_a P_0^a g_a(P_1, ...), summed as acc = acc * P_0 + g_a from
+    the top exponent down, with one product by P_0 per step, also where no
+    term has that exponent.  Each g_a is summed the same way in P_1, and so
+    on; at the last variable a group sum_b c_b P_last^b takes the powers of
+    P_last, built once per call.  Each step is one _products call over the
+    pairs (acc, P_i) and those of the level below, and one reduction; a
+    level's last step stays a list of pairs for the level above, so the
+    outermost sum is one step as well.  The generators and the powers of
+    P_last are packed once, and every Horner sum stays a dict key -> int.
+
+    Over an unramified ring the result has the precision q of the module
+    docstring, and one slot width serves every step: at one output key a
+    step forms at most |P_i| products for a pair (acc, P_i), of which it has
+    at most one per level, and one for each pair (c, P_last^b), of which it
+    has at most Dmax + 1 (the terms of one last-level group).
+    """
+    nvars, dmax = f.nvars, f.dmax
+    like = gens[0] if gens else f
+    if not f.terms:
+        return like._build({}, filtered=True)
+    used = [i for i in range(nvars) if any(e[i] for e in f.terms)]
+    width, pn, reduce, unpack = _kernel(f.ring, [f.terms, *(gens[i].terms for i in used)],
+                                        sum(len(gens[i].terms) for i in used) + dmax + 1)
+    stride = dmax + 1
+    top = stride ** like.nvars  # a key's degree digit
+    const = (0,) * like.nvars
+
+    def left(packed: dict[int, int]) -> list[tuple[int, int, int]]:
+        return [(k // top, k, x) for k, x in packed.items()]
+
+    def step_sum(pairs: list) -> dict[int, int]:
+        return reduce(_products(pairs, dmax))
+
+    packed = {i: _pack_terms(gens[i].terms, dmax, stride, width, pn) for i in used}
+    right = {i: _right(t) for i, t in packed.items()}
+    pows = [_right([(0, 0, 1)])]
+    for _ in range(max(e[-1] for e in f.terms) if nvars else 0):
+        pows.append(right[nvars - 1] if len(pows) == 1 else
+                    _right(left(step_sum([(packed[nvars - 1], pows[-1])]))))
+
+    def pairs(terms: dict, i: int) -> list:
+        # pairs whose products sum to c * prod_{j >= i} P_j^e_j over the terms
+        # c X^e of `terms`; the powers of P_0..P_{i-1} are the caller's
+        if i >= nvars - 1:
+            return [(_pack_terms({const: c}, dmax, stride, width, pn), pows[e[-1] if e else 0])
+                    for e, c in terms.items()]
+        groups: dict[int, dict] = {}
+        for e, c in terms.items():
+            groups.setdefault(e[i], {})[e] = c
+        step: list = []
+        for a in range(max(groups), -1, -1):
+            if step:
+                step = [(left(step_sum(step)), right[i])]
+            if a in groups:
+                step += pairs(groups[a], i + 1)
+        return step
+
+    return like._build(unpack(step_sum(pairs(f.terms, 0)), like.nvars, stride), filtered=True)
 
 
 def coeff_repr(c):
@@ -551,39 +614,17 @@ def series_from_int_coeffs(ring, coeffs: dict[int, int], dmax: int) -> TruncSeri
 
 
 def compose_univariate(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """f(g) for one-variable f and any-arity g with g(0) = 0, by Horner."""
+    """f(g) for one-variable f and any-arity g with g(0) = 0."""
     if not g.ring.is_zero(g.constant_term()):
         raise ValueError("substituted series must have zero constant term")
-    ring = g.ring
-    deg = max((e[0] for e in f.terms), default=0)
-    acc = TruncSeries(ring, g.nvars, g.dmax)
-    for d in range(deg, -1, -1):
-        acc = acc.mul(g)
-        c = f.coeff((d,))
-        if not ring.is_zero(c):
-            acc = acc.add(series_const(ring, g.nvars, g.dmax, c))
-    return acc
+    return substitute(TruncSeries(g.ring, 1, g.dmax, f.terms), [g])
 
 
 def substitute_two(F: TruncSeries, u: TruncSeries, v: TruncSeries) -> TruncSeries:
     """F(u, v) for a two-variable F; u, v share arity/dmax and vanish at 0."""
-    ring = u.ring
-    for s in (u, v):
-        if not ring.is_zero(s.constant_term()):
-            raise ValueError("substituted series must have zero constant term")
-    du = max((e[0] for e in F.terms), default=0)
-    dv = max((e[1] for e in F.terms), default=0)
-    u_pows = [series_const(ring, u.nvars, u.dmax, ring.one())]
-    for _ in range(du):
-        u_pows.append(u_pows[-1].mul(u))
-    v_pows = [series_const(ring, v.nvars, v.dmax, ring.one())]
-    for _ in range(dv):
-        v_pows.append(v_pows[-1].mul(v))
-    acc = TruncSeries(ring, u.nvars, u.dmax)
-    for (i, j), c in F.terms.items():
-        term = u_pows[i].mul(v_pows[j]).scale(c)
-        acc = acc.add(term)
-    return acc
+    if any(not s.ring.is_zero(s.constant_term()) for s in (u, v)):
+        raise ValueError("substituted series must have zero constant term")
+    return substitute(TruncSeries(u.ring, 2, u.dmax, F.terms), [u, v])
 
 
 def reduce_mod_p(f: TruncSeries, target_ring=None) -> TruncSeries:

@@ -83,6 +83,21 @@ def test_level_structure_exits_2_beyond_its_degree_budget():
         run(ExperimentConfig("level-structure", p=17, h=1, e=1))
 
 
+def test_formal_experiments_exit_2_beyond_their_degree_budget():
+    # height truncates at p^3 + 2, endomorphism-frobenius at p^h + 4 and
+    # gm-identities at Dmax; p = 7 gives 345, p = 11 gives 1,333
+    assert main(["run", "height", "--p", "11"]) == 2
+    assert main(["run", "endomorphism-frobenius", "--p", "11", "--h", "3"]) == 2
+    assert main(["run", "endomorphism-frobenius", "--p", "23", "--h", "2"]) == 2
+    assert main(["run", "endomorphism-frobenius", "--p", "2", "--h", str(10 ** 12)]) == 2
+    assert main(["run", "gm-identities", "--Dmax", "401"]) == 2
+    assert main(["run", "gm-identities", "--Dmax", "800"]) == 2
+    for cfg in (ExperimentConfig("height", p=13), ExperimentConfig("gm-identities", Dmax=401),
+                ExperimentConfig("endomorphism-frobenius", p=3, h=6)):
+        with pytest.raises(ConfigInvalidError, match="budget"):
+            run(cfg)
+
+
 @pytest.mark.parametrize("dmax", [13, 16])
 def test_fn_sequence_compares_the_tail_beyond_dmax_12(dmax, tmp_path):
     # the tail f_n, n >= Dmax - 2, reaches past n = 10 from Dmax = 13 on

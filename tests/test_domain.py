@@ -18,7 +18,6 @@ from padiclt.padics import (
 from padiclt.divalg import div_from_scalar, div_mul, div_one, j_embed, sample_gamma, sample_obh
 from padiclt.domain import (
     DomainFunc,
-    _apply_substitution,
     NotInPError,
     Section,
     ZeroAtPrecisionError,
@@ -42,6 +41,7 @@ from padiclt.domain import (
 from padiclt.padics import frobenius
 from padiclt import domain, linalg, padics, periods, series
 from padiclt.linalg import divide_by_pivot
+from padiclt.series import UnramRing, substitute
 
 CTX2 = make_context(5, 2, 8)
 CTX3 = make_context(3, 3, 8)
@@ -511,7 +511,7 @@ def test_substitution_takes_the_least_input_precision():
     c0, c1 = ctx.from_int(5, prec=2), ctx.from_int(3)
     f = DomainFunc(ctx, 2, 4, {(1,): c0, (0,): c1})
     gen = domain_const(ctx, 2, 4, ctx.from_int(5)).add(domain_var(ctx, 2, 4, 1))
-    out = _apply_substitution(f, [gen])
+    out = substitute(f, [gen])
     _assert_one_precision(out, _reference_substitution(f, [gen]), 2)
     assert {e: c.key() for e, c in out.terms.items()} == {(0,): ((3, 0), 2), (1,): ((5, 0), 2)}
 
@@ -524,11 +524,11 @@ def test_substitution_sum_is_independent_of_a_cancelled_partial_sum():
     a, b, c = ctx.from_int(5, prec=2), ctx.from_int(20), ctx.from_int(3)
     f = DomainFunc(ctx, 2, 4, {(0,): a, (1,): b, (2,): c})
     gen = domain_const(ctx, 2, 4, ctx.one()).add(domain_var(ctx, 2, 4, 1))
-    out = _apply_substitution(f, [gen])
+    out = substitute(f, [gen])
     _assert_one_precision(out, _reference_substitution(f, [gen]), 2)
     assert out.terms[(0,)].key() == ((3, 0), 2)
     reordered = DomainFunc(ctx, 2, 4, {(2,): c, (1,): b, (0,): a})
-    _assert_identical(_apply_substitution(reordered, [gen]), out)
+    _assert_identical(substitute(reordered, [gen]), out)
 
 
 def test_substitution_matches_reference_mixed_precision():
@@ -540,11 +540,11 @@ def test_substitution_matches_reference_mixed_precision():
             if trial % 2:
                 f = _mixed_precision(f, rng, 1)
                 gens = [_mixed_precision(g, rng, 1) for g in gens]
-                _assert_one_precision(_apply_substitution(f, gens),
+                _assert_one_precision(substitute(f, gens),
                                       _reference_substitution(f, gens),
                                       _least_precision(f, *gens))
             else:
-                _assert_identical(_apply_substitution(f, gens),
+                _assert_identical(substitute(f, gens),
                                   _reference_substitution(f, gens))
 
 
@@ -597,7 +597,7 @@ def test_substitution_matches_reference_at_every_horner_level(p, shape, seed, mi
             if mixed:
                 f = _mixed_precision(f, rng, 1)
                 gens = [_mixed_precision(g, rng, 1) for g in gens]
-            got = _apply_substitution(f, gens)
+            got = substitute(f, gens)
             ref = _reference_substitution(f, gens)
             if not f.terms:
                 assert got.is_zero() and ref.is_zero()
@@ -621,13 +621,14 @@ def test_substitution_keeps_the_precision_of_a_cancelled_horner_group():
     p0 = DomainFunc(ctx, 3, 4, {(0, 0): ctx.from_int(2), (1, 0): ctx.one(),
                                 (0, 1): ctx.from_int(10)})
     p1 = DomainFunc(ctx, 3, 4, {(0, 0): ctx.one(), (0, 1): ctx.from_int(3)})
-    assert _apply_substitution(DomainFunc(ctx, 3, 4, low), [p0, p1]).is_zero()
-    out = _apply_substitution(f, [p0, p1])
+    assert substitute(DomainFunc(ctx, 3, 4, low), [p0, p1]).is_zero()
+    out = substitute(f, [p0, p1])
     assert out.terms and {c.prec for c in out.terms.values()} == {1}
     _assert_one_precision(out, _reference_substitution(f, [p0, p1]), 1)
     # one flat sum over the terms of f, as one _lazy_combine call
-    flat = series._lazy_combine(ctx, 2, 4, [({(0, 0): c}, p0.pow(e[0]).mul(p1.pow(e[1])).terms)
-                                            for e, c in f.terms.items()])
+    flat = series._lazy_combine(UnramRing(ctx), 2, 4,
+                                [({(0, 0): c}, p0.pow(e[0]).mul(p1.pow(e[1])).terms)
+                                 for e, c in f.terms.items()])
     _assert_identical(out, DomainFunc(ctx, 3, 4, flat))
 
 
@@ -662,12 +663,12 @@ def _reference_horner(f: DomainFunc, gens: list[DomainFunc]) -> DomainFunc:
         step: list = []
         for a in range(max(groups), -1, -1):
             if step:
-                step = [(series._lazy_combine(ctx, nvars, dmax, step), gens[i].terms)]
+                step = [(series._lazy_combine(UnramRing(ctx), nvars, dmax, step), gens[i].terms)]
             if a in groups:
                 step += pairs(groups[a], i + 1)
         return step
 
-    out = series._lazy_combine(ctx, nvars, dmax, pairs(f.terms, 0))
+    out = series._lazy_combine(UnramRing(ctx), nvars, dmax, pairs(f.terms, 0))
     if out and next(iter(out.values())).prec > q:
         return f._build({e: c.at_precision(q) for e, c in out.items()})
     return f._build(out, filtered=True)
@@ -780,7 +781,7 @@ def test_packed_substitution_matches_the_horner_oracle(params, seed):
                 if mode == "mixed":
                     f = _mixed_precision(f, rng, 1)
                     gens = [_mixed_precision(g, rng, 1) for g in gens]
-            _assert_identical(_apply_substitution(f, gens), _reference_horner(f, gens))
+            _assert_identical(substitute(f, gens), _reference_horner(f, gens))
 
 
 _GAMMA_CTX = {h: make_context(3 if h < 5 else 2, h, 6) for h in range(2, 6)}

@@ -17,10 +17,14 @@ from padiclt.series import (
     series_const,
     series_from_int_coeffs,
     series_var,
+    substitute,
     substitute_two,
 )
+from padiclt import series
 from padiclt.formal import (
     InconclusiveError,
+    eval_series_in_quot,
+    eval_two_var_in_quot,
     _binom_int,
     NotFrobeniusPolyError,
     WrongCardinalityError,
@@ -471,6 +475,209 @@ def test_quot_ring_mul_matches_reference(p, N, deg, seed):
         a = tuple(rng.randrange(pN) for _ in range(deg))
         b = tuple(rng.randrange(pN) for _ in range(deg))
         assert ring.mul(a, b) == _reference_quot_mul(ring, a, b)
+
+
+# -- the one substitution engine against the bodies it replaced -----------
+
+def _reference_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    """The old compose_univariate: Horner on TruncSeries.mul and add."""
+    ring = g.ring
+    deg = max((e[0] for e in f.terms), default=0)
+    acc = TruncSeries(ring, g.nvars, g.dmax)
+    for d in range(deg, -1, -1):
+        acc = acc.mul(g)
+        c = f.coeff((d,))
+        if not ring.is_zero(c):
+            acc = acc.add(series_const(ring, g.nvars, g.dmax, c))
+    return acc
+
+
+def _reference_substitute_two(F: TruncSeries, u: TruncSeries, v: TruncSeries) -> TruncSeries:
+    """The old substitute_two: one product u^i v^j per term of F."""
+    ring = u.ring
+    du = max((e[0] for e in F.terms), default=0)
+    dv = max((e[1] for e in F.terms), default=0)
+    u_pows = [series_const(ring, u.nvars, u.dmax, ring.one())]
+    for _ in range(du):
+        u_pows.append(u_pows[-1].mul(u))
+    v_pows = [series_const(ring, v.nvars, v.dmax, ring.one())]
+    for _ in range(dv):
+        v_pows.append(v_pows[-1].mul(v))
+    acc = TruncSeries(ring, u.nvars, u.dmax)
+    for (i, j), c in F.terms.items():
+        acc = acc.add(u_pows[i].mul(v_pows[j]).scale(c))
+    return acc
+
+
+def _reference_flat(f: TruncSeries, gens: list[TruncSeries]) -> TruncSeries:
+    """f(P) as one flat sum of c prod P_i^e_i over the terms of f."""
+    like = gens[0]
+    acc = TruncSeries(like.ring, like.nvars, f.dmax)
+    for e, c in f.terms.items():
+        term = series_const(like.ring, like.nvars, f.dmax, like.ring.one())
+        for g, a in zip(gens, e):
+            term = term.mul(g.pow(a))
+        acc = acc.add(term.scale(c))
+    return acc
+
+
+def _reference_lazy_mul(ring: IntModRing, nvars: int, dmax: int, a: dict, b: dict) -> dict:
+    """The old _lazy_mul over Z/p^N: unreduced sums, each cut once mod p^N."""
+    if not a or not b:
+        return {}
+    stride = dmax + 1
+    sums = series._products([(series._pack_terms(a, dmax, stride),
+                              series._right(series._pack_terms(b, dmax, stride)))], dmax)
+    out = {}
+    for k, v in sums.items():
+        v %= ring.pN
+        if v:
+            out[series._exponent(k, nvars, stride)] = v
+    return out
+
+
+_SUBST_CTX = {(p, e): make_context(p, e, 12) for p in (2, 3, 5) for e in (1, 2, 3)}
+
+
+def _one_precision_ring(kind: str, p: int, N: int, rng):
+    """A ring and a draw of reduced coefficients of one precision.  The old
+    Horner kept a constant it added to an empty sum unreduced; reduced draws
+    keep that difference out of a comparison by term dict."""
+    if kind == "int":
+        ring = IntModRing(p, N)
+        return ring, lambda: rng.randrange(ring.pN)
+    ctx = _SUBST_CTX[p, rng.randint(1, 3)]
+    return UnramRing(ctx), lambda: ctx.random_element(rng, prec=N)
+
+
+def _vanishing(ring, draw, nvars: int, dmax: int, rng) -> TruncSeries:
+    g = _random_series(ring, draw, nvars, dmax, rng.randint(0, 8), rng)
+    g.terms.pop((0,) * nvars, None)
+    return g
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from(["int", "unram"]), st.sampled_from([2, 3, 5]), st.integers(1, 12),
+       st.integers(1, 3), st.integers(0, 6), st.integers(-3, 3),
+       st.sampled_from(["random", "empty", "constant", "high"]), st.integers(0, 10 ** 6))
+def test_substitution_matches_the_replaced_bodies(kind, p, N, arity, dmax, shift, shape, seed):
+    # the generators have arity 1 to 3 and Dmax dmax; f's Dmax is off by
+    # `shift` either way, and "high" puts a term of f above the generators'
+    rng = random.Random(seed)
+    ring, draw = _one_precision_ring(kind, p, N, rng)
+    fdmax = dmax + (max(shift, 1) if shape == "high" else shift)
+    fdmax = max(fdmax, 0)
+    if shape == "empty":
+        f = TruncSeries(ring, 1, fdmax)
+    elif shape == "constant":
+        f = TruncSeries(ring, 1, fdmax, {(0,): draw()})
+    else:
+        f = _random_series(ring, draw, 1, fdmax, rng.randint(1, 8), rng)
+        if shape == "high":
+            f.terms[(fdmax,)] = draw()
+    g = _vanishing(ring, draw, arity, dmax, rng)
+    _assert_identical(compose_univariate(f, g), _reference_compose(f, g))
+
+    F = TruncSeries(ring, 2, fdmax, {(e[0], rng.randint(0, fdmax)): c
+                                     for e, c in f.terms.items()})
+    u, v = (_vanishing(ring, draw, arity, dmax, rng) for _ in range(2))
+    _assert_identical(substitute_two(F, u, v), _reference_substitute_two(F, u, v))
+
+    # substitute itself: f of 1 to 3 variables, generators with a constant term
+    k = rng.randint(1, 3)
+    f = _random_series(ring, draw, k, dmax, rng.randint(0, 6), rng)
+    gens = [_random_series(ring, draw, arity, dmax, rng.randint(0, 5), rng) for _ in range(k)]
+    _assert_identical(substitute(f, gens), _reference_flat(f, gens))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 12), st.integers(1, 3), st.integers(0, 6),
+       st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_lazy_combine_matches_the_replaced_product(p, N, nvars, dmax, extra, seed):
+    # over Z/p^N, with draws in [-p^N, 2 p^N) and a right factor whose Dmax
+    # may exceed dmax; a sum of two pairs is the sum of their products
+    rng = random.Random(seed)
+    ring = IntModRing(p, N)
+    draw = lambda: rng.randrange(-ring.pN, 2 * ring.pN)  # noqa: E731
+    a, c = (_random_series(ring, draw, nvars, dmax, rng.randint(0, 9), rng).terms
+            for _ in range(2))
+    b, d = (_random_series(ring, draw, nvars, dmax + extra, rng.randint(0, 9), rng).terms
+            for _ in range(2))
+    assert series._lazy_combine(ring, nvars, dmax, [(a, b)]) == \
+        _reference_lazy_mul(ring, nvars, dmax, a, b)
+    both = TruncSeries(ring, nvars, dmax, _reference_lazy_mul(ring, nvars, dmax, a, b)).add(
+        TruncSeries(ring, nvars, dmax, _reference_lazy_mul(ring, nvars, dmax, c, d)))
+    assert series._lazy_combine(ring, nvars, dmax, [(a, b), (c, d)]) == both.terms
+
+
+def test_composition_takes_the_least_input_precision():
+    # f = 2 (precision 3) + X + X^2: the old Horner added the constant 2 last,
+    # at its own precision, and kept the X term at precision 8; composition
+    # now gives every coefficient the least precision, 3, of f and g
+    ctx = make_context(5, 2, 8)
+    ring = UnramRing(ctx)
+    f = TruncSeries(ring, 1, 4, {(0,): ctx.from_int(2, prec=3), (1,): ctx.one(),
+                                 (2,): ctx.one()})
+    g = TruncSeries(ring, 1, 4, {(1,): ctx.one(), (2,): ctx.from_int(5)})
+    got, old = compose_univariate(f, g), _reference_compose(f, g)
+    assert {c.prec for c in got.terms.values()} == {3}
+    assert old.terms[(1,)].prec == 8 and old.terms[(0,)].prec == 3
+    _assert_identical(got, TruncSeries(ring, 1, 4, {e: c.at_precision(3)
+                                                    for e, c in old.terms.items()}))
+    # g + g^2 = X + 6 X^2 + 10 X^3 + 25 X^4, plus 2
+    assert {e: c.key() for e, c in got.terms.items()} == {
+        (0,): ((2, 0), 3), (1,): ((1, 0), 3), (2,): ((6, 0), 3), (3,): ((10, 0), 3),
+        (4,): ((25, 0), 3)}
+
+
+def test_substitution_rejects_a_constant_term_and_other_rings():
+    ring = IntModRing(3, 4)
+    f = series_from_int_coeffs(ring, {1: 1, 2: 2}, 5)
+    g = series_from_int_coeffs(ring, {0: 1, 1: 1}, 5)
+    x, y = series_var(ring, 2, 5, 0), series_var(ring, 2, 5, 1)
+    F = TruncSeries(ring, 2, 5, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    with pytest.raises(ValueError):
+        compose_univariate(f, g)
+    for u, v in ((x.add(series_const(ring, 2, 5, 3)), y), (x, y.add(series_const(ring, 2, 5, 1)))):
+        with pytest.raises(ValueError):
+            substitute_two(F, u, v)
+    quot = QuotRing(IntModRing(3, 4), [1, 0, 1])
+    t = TruncSeries(quot, 1, 3, {(1,): quot.one()})
+    with pytest.raises(TypeError):
+        substitute(t, [t])
+
+
+def _reference_eval_two_var(series: TruncSeries, x, y, ring: QuotRing):
+    """The old eval_two_var_in_quot: one product x^i y^j per term."""
+    xp, yp = [ring.one()], [ring.one()]
+    for _ in range(max((e[0] for e in series.terms), default=0)):
+        xp.append(ring.mul(xp[-1], x))
+    for _ in range(max((e[1] for e in series.terms), default=0)):
+        yp.append(ring.mul(yp[-1], y))
+    acc = ring.zero()
+    for (i, j), c in series.terms.items():
+        term = ring.mul(xp[i], yp[j])
+        acc = ring.add(acc, ring.mul_int(term, c) if isinstance(c, int) else ring.mul(term, c))
+    return acc
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(1, 5), st.integers(0, 8),
+       st.booleans(), st.integers(0, 10 ** 6))
+def test_quot_evaluation_matches_the_term_by_term_sum(p, N, deg, dmax, tuples, seed):
+    # int coefficients (a Z/p^N series) or tuple ones (a series over the ring)
+    rng = random.Random(seed)
+    base = IntModRing(p, N)
+    ring = QuotRing(base, [rng.randrange(base.pN) for _ in range(deg)] + [1])
+    draw = ((lambda: tuple(rng.randrange(base.pN) for _ in range(deg))) if tuples
+            else (lambda: rng.randrange(-base.pN, 2 * base.pN)))
+    coeff_ring = ring if tuples else base
+    x, y = (tuple(rng.randrange(base.pN) for _ in range(deg)) for _ in range(2))
+    F = _random_series(coeff_ring, draw, 2, dmax, rng.randint(0, 12), rng)
+    assert eval_two_var_in_quot(F, x, y, ring) == _reference_eval_two_var(F, x, y, ring)
+    f = TruncSeries(coeff_ring, 2, dmax, {(i, 0): c for (i, _), c in F.terms.items()})
+    g = TruncSeries(coeff_ring, 1, dmax, {(i,): c for (i, _), c in f.terms.items()})
+    assert eval_series_in_quot(g, x, ring) == _reference_eval_two_var(f, x, y, ring)
 
 
 # -- the truncated Lubin-Tate induction against the full-Dmax one ----------
