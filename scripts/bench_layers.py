@@ -15,6 +15,13 @@ threshold and fails on no figure.
     series.TruncSeries.mul  F * F for the working group law F of
                             lt_construct(7, 7X + X^7, Dmax=38, N=8)
     formal.lt_construct     lt_construct(3, 3X + X^3, Dmax=20, N=8)
+    formal.lt_construct_level
+                            lt_construct(7, 7X + X^7, Dmax=38, N=6), the group law
+                            of level-structure at p = 7
+    formal.lt_construct_p343
+                            lt_construct(7, 7X + X^343, Dmax=347, N=6), where f has
+                            one sparse high term: the powers of the induction must
+                            follow an addition chain of 343, not run through 2..343
     series.compose_univariate
                             [5]([7](X)) for gm_module(3, Dmax=40, N=8)
     series.substitute_two   F(F(X, Y), Z) for the group law F of
@@ -68,8 +75,8 @@ def _truncseries_mul():
     return lambda: F.mul(F)
 
 
-def _lt_construct():
-    return lambda: lt_construct(3, {1: 3, 3: 1}, 20, 8)
+def _lt_construct(p: int = 3, q: int = 3, dmax: int = 20, N: int = 8):
+    return lambda: lt_construct(p, {1: p, q: 1}, dmax, N)
 
 
 def _compose_univariate():
@@ -180,6 +187,8 @@ def _div_inv():
 LAYERS = {
     "series.TruncSeries.mul": _truncseries_mul,
     "formal.lt_construct": _lt_construct,
+    "formal.lt_construct_level": lambda: _lt_construct(7, 7, 38, 6),
+    "formal.lt_construct_p343": lambda: _lt_construct(7, 343, 347, 6),
     "series.compose_univariate": _compose_univariate,
     "series.substitute_two": _substitute_two,
     "domain.DomainFunc.mul": _domainfunc_mul,

@@ -56,6 +56,9 @@ LEVEL_DEGREE = 80  # 6(p-1)+2 of level-structure: p = 13 gives 74, p = 17 gives 
 # endomorphism-frobenius (p^h + 4) and gm-identities (Dmax) build: height
 # fits p <= 7, endomorphism-frobenius p = 2 to h = 8 and p = 7 to h = 3
 FORMAL_DEGREE = 400
+# monomials of a_0..a_nmax in period-convergence, counted as in
+# exp_period_convergence: h = 2 fits nmax <= 21, h = 3 fits nmax <= 17
+PERIOD_TERMS = 50_000
 
 
 @dataclass
@@ -995,9 +998,26 @@ def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Domain: h >= 2, so that a_n lives on the deformation base u_1..u_(h-1),
+    and nmax >= 2h, so that phi-differences-contract compares two differences.
+
+    Size budget: a_n has at most T_n = T_(n-1) + ... + T_(n-h) monomials
+    (T_0 = 1; the Fibonacci numbers at h = 2), and T_0 + ... + T_nmax is at
+    most PERIOD_TERMS (nmax = 21 at h = 2 runs in about 0.6 s with Python
+    3.11 on a 2-vCPU x86-64 host).
+    """
+    p, h, nmax = cfg.p, cfg.h, cfg.nmax
+    if h < 2 or nmax < 2 * h:
+        raise ConfigInvalidError(
+            f"period-convergence needs h >= 2 and nmax >= 2h, got h = {h}, nmax = {nmax}")
+    counts = [1]
+    while len(counts) <= nmax and sum(counts) <= PERIOD_TERMS:
+        counts.append(sum(counts[-h:]))
+    if sum(counts) > PERIOD_TERMS:
+        raise ConfigInvalidError(
+            f"period-convergence at h = {h}, nmax = {nmax} recurses through at least "
+            f"{sum(counts)} monomials; the budget is {PERIOD_TERMS}")
     rec = _Recorder(cfg)
-    p, h = cfg.p, cfg.h
-    nmax = cfg.nmax
     budget = periods.degree_budget(p, nmax)
     t0 = time.perf_counter()
     coeffs = periods.univ_log_coeffs(h, p, nmax, budget)

@@ -4,21 +4,32 @@ endomorphism checks, and Drinfeld level structures at desk scale.
 Constructions run at an internal working precision N + Dmax (each degree of
 the Lubin-Tate induction divides by p*(p^(n-1)-1) exactly once), so the
 returned coefficients are exact mod p^N for exact polynomial inputs.
+
+The law F and each [a] come from one induction G_n = E_n / (p^n - p), E_n
+the degree-n part of f(G_<n) - G_<n(f(X), f(Y)), or of f(G_<n) - G_<n(f(X)).
+It is relaxed (van der Hoeven, "Relax, but don't be too lazy", J. Symb.
+Comput. 34, 2002): degree n is summed from parts that are already final, not
+from a new composition.  G has no constant term, so for k >= 2 every product
+in [G^k]_n = sum_i [G^a]_i [G^b]_(n-i), a + b = k, has two factors of degree
+< n; G_n enters f(G) at degree n only as p G_n, and G(f) only as p^n G_n.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from .series import (
     IntModRing,
     PrecisionLossError,
     QuotRing,
     TruncSeries,
+    _lazy_combine,
     compose_univariate,
     geometric_inverse,
     reduce_mod_p,
     series_from_int_coeffs,
+    substitute,
     substitute_two,
 )
 
@@ -91,32 +102,48 @@ def _xy_linear(ring, dmax: int) -> TruncSeries:
     return TruncSeries(ring, 2, dmax, {(1, 0): ring.one(), (0, 1): ring.one()})
 
 
-def _lt_correction_step(f_series: TruncSeries, cur: TruncSeries, n: int,
-                        two_var: bool, ring: IntModRing) -> TruncSeries:
-    """Degree-n correction of the Lubin-Tate induction.
+def _lt_induction(f: TruncSeries, lin: TruncSeries, ring: IntModRing,
+                  dmax: int) -> TruncSeries:
+    """The G = lin mod deg 2 with f(G) = G(f(X_1), ..., f(X_k)), to degree Dmax.
 
-    For the group law (two_var): E = f(G) - G(f(X), f(Y)); for a
-    multiplication series: E = f(G) - G(f(X)).  The degree-n part of E is
-    divisible by p and the correction is E_n / (p^n - p).  E_n depends only
-    on the parts of f and cur of degree <= n (truncation mod deg n+1 is a
-    ring map that commutes with substituting series without constant
-    term), so E is composed at Dmax = n; the correction is returned at
-    cur's Dmax.
+    [G^k]_n is one _lazy_combine over ([G^a]_i, [G^b]_(n-i)) along the
+    addition chain k -> (floor(k/2), ceil(k/2)) of the exponents of f; rhs
+    sums G_m(f, ..., f) by degree, each G_m substituted once, at degree m + 1.
     """
-    f = TruncSeries(ring, 1, n, f_series.terms)
-    g = TruncSeries(ring, cur.nvars, n, cur.terms)
-    if two_var:
-        fX = TruncSeries(ring, 2, n, {(e[0], 0): c for e, c in f.terms.items()})
-        fY = TruncSeries(ring, 2, n, {(0, e[0]): c for e, c in f.terms.items()})
-        err = compose_univariate(f, g).sub(substitute_two(g, fX, fY))
-    else:
-        err = compose_univariate(f, g).sub(compose_univariate(g, f))
-    en = {e: c for e, c in err.terms.items() if sum(e) == n}
-    if not en:
-        return TruncSeries(ring, cur.nvars, cur.dmax)
-    denom = ring.p ** n - ring.p
-    corr = {e: ring.divexact_int(c, denom) for e, c in en.items()}
-    return TruncSeries(ring, cur.nvars, cur.dmax, corr)
+    nvars, pad = lin.nvars, (0,) * (lin.nvars - 1)
+    gens = [TruncSeries(ring, nvars, dmax, {pad[:v] + e + pad[v:]: c for e, c in f.terms.items()})
+            for v in range(nvars)]
+    fj = {e[0]: c for e, c in f.terms.items() if e[0] >= 2}
+    chain, new = set(), set(fj)
+    while new:
+        chain |= new
+        new = {h for k in new for h in (k // 2, k - k // 2) if h > 1} - chain
+    chain = sorted(chain)
+    parts = {k: {} for k in (1, *chain)}  # k -> degree -> terms of [G^k]_degree
+    parts[1][1] = lin.terms
+    rhs = defaultdict(lambda: defaultdict(int))  # degree -> terms of sum_m G_m(f)
+    for n in range(2, dmax + 1):
+        for e, c in substitute(lin._build(parts[1].get(n - 1, {}), filtered=True),
+                               gens).terms.items():
+            rhs[sum(e)][e] += c
+        for k in chain:
+            if k > n:
+                break
+            left, right = parts[k // 2], parts[k - k // 2]
+            power = _lazy_combine(ring, nvars, n, [(t, right[n - i]) for i, t in left.items()
+                                                   if n - i in right])
+            if power:
+                parts[k][n] = power
+        err = defaultdict(int, {e: -c for e, c in rhs.pop(n, {}).items()})
+        for j, c in fj.items():
+            for e, x in parts[j].get(n, {}).items():
+                err[e] += c * x
+        denom = ring.p ** n - ring.p
+        corr = {e: q for e, c in err.items() if (q := ring.divexact_int(c, denom))}
+        if corr:
+            parts[1][n] = corr
+    return lin._build({e: c for terms in parts[1].values() for e, c in terms.items()},
+                      filtered=True)
 
 
 def _check_frobenius_poly(p: int, f_coeffs: dict[int, int]) -> int:
@@ -147,9 +174,7 @@ def lt_construct(p: int, f_coeffs: dict[int, int], dmax: int, N: int = 8) -> For
     work = IntModRing(p, N + dmax)
     f_work = series_from_int_coeffs(work, f_coeffs, dmax)
 
-    F = _xy_linear(work, dmax)
-    for n in range(2, dmax + 1):
-        F = F.add(_lt_correction_step(f_work, F, n, True, work))
+    F = _lt_induction(f_work, _xy_linear(work, dmax), work, dmax)
 
     public = IntModRing(p, N)
     F_pub = F.map_coefficients(public.from_int, public)
@@ -157,10 +182,8 @@ def lt_construct(p: int, f_coeffs: dict[int, int], dmax: int, N: int = 8) -> For
     def builder(a: int) -> TruncSeries:
         if a == p:
             return f_work.map_coefficients(public.from_int, public)
-        cur = TruncSeries(work, 1, dmax, {(1,): work.from_int(a)})
-        for n in range(2, dmax + 1):
-            cur = cur.add(_lt_correction_step(f_work, cur, n, False, work))
-        return cur.map_coefficients(public.from_int, public)
+        lin = TruncSeries(work, 1, dmax, {(1,): work.from_int(a)})
+        return _lt_induction(f_work, lin, work, dmax).map_coefficients(public.from_int, public)
 
     return FormalModule(p, public, F_pub, dmax, builder,
                         frobenius_poly=dict(f_coeffs), work_data=(work, F))
@@ -342,16 +365,13 @@ def _poly_compose_int(outer: dict[int, int], inner: dict[int, int]) -> dict[int,
 
 def eval_series_in_quot(series: TruncSeries, x, ring: QuotRing):
     """Horner evaluation of a one-variable series at a quotient-ring element."""
-    acc = ring.zero()
-    for d in range(max((e[0] for e in series.terms), default=0), -1, -1):
-        c = series.coeff((d,))
-        acc = ring.add(ring.mul(acc, x), c if isinstance(c, tuple) else ring.from_int(c))
-    return acc
+    coeffs = [series.coeff((d,)) for d in range(max((e[0] for e in series.terms), default=0) + 1)]
+    return _horner_in_quot([c if isinstance(c, tuple) else ring.from_int(c) for c in coeffs],
+                           x, ring)
 
 
-def eval_two_var_in_quot(series: TruncSeries, x, y, ring: QuotRing):
-    """Horner evaluation in x of a two-variable series: from the top exponent
-    of x down, acc = acc x + row_i, where row_i = sum_j c_ij y^j."""
+def _rows_in_quot(series: TruncSeries, y, ring: QuotRing) -> list:
+    """row_i = sum_j c_ij y^j of a two-variable series, i = 0..its top exponent of x."""
     yp = [ring.one()]
     for _ in range(max((e[1] for e in series.terms), default=0)):
         yp.append(ring.mul(yp[-1], y))
@@ -359,10 +379,20 @@ def eval_two_var_in_quot(series: TruncSeries, x, y, ring: QuotRing):
     for (i, j), c in series.terms.items():
         rows[i] = ring.add(rows[i], ring.mul_int(yp[j], c) if isinstance(c, int)
                            else ring.mul(yp[j], c))
+    return rows
+
+
+def _horner_in_quot(rows: list, x, ring: QuotRing):
+    """sum_i rows[i] x^i, as acc = acc x + row_i from the top index down."""
     acc = ring.zero()
     for row in reversed(rows):
         acc = ring.add(ring.mul(acc, x), row)
     return acc
+
+
+def eval_two_var_in_quot(series: TruncSeries, x, y, ring: QuotRing):
+    """Horner evaluation in x of a two-variable series, with the rows of y."""
+    return _horner_in_quot(_rows_in_quot(series, y, ring), x, ring)
 
 
 def make_level_points(module: FormalModule, ring: QuotRing, m: int) -> list:
@@ -406,12 +436,12 @@ def level_structure_check(module: FormalModule, points: list, m: int,
     if m == 0:
         return ring.is_zero(points[0])
 
-    # additivity: phi(a + b) = F(phi(a), phi(b))
-    for a in range(pm):
-        for b in range(pm):
-            lhs = points[(a + b) % pm]
-            rhs = eval_two_var_in_quot(module.F, points[a], points[b], ring)
-            if not ring.eq(lhs, rhs):
+    # additivity: phi(a + b) = F(phi(a), phi(b)), with the rows of F at phi(b)
+    # built once for every a
+    for b in range(pm):
+        rows = _rows_in_quot(module.F, points[b], ring)
+        for a in range(pm):
+            if not ring.eq(points[(a + b) % pm], _horner_in_quot(rows, points[a], ring)):
                 return False
 
     # divisibility: prod (T - phi(a)) | [p^m](T)

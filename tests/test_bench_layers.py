@@ -18,7 +18,8 @@ def test_bench_layers_smoke(tmp_path):
     assert report["k"] == 1 and report["environment"]["nproc"] >= 1
     assert set(report["median_s"]) == {
         "series.TruncSeries.mul", "series.compose_univariate", "series.substitute_two",
-        "formal.lt_construct", "domain.DomainFunc.mul",
+        "formal.lt_construct", "formal.lt_construct_level", "formal.lt_construct_p343",
+        "domain.DomainFunc.mul",
         "domain.gamma_act", "domain.gamma_act_h4", "domain.den_power",
         "linalg.kernel_basis", "linalg.determinant", "padics.frobenius",
         "domain.lie_act", "divalg.nrd", "divalg.mat_mul", "divalg.div_mul", "divalg.div_inv"}

@@ -98,6 +98,24 @@ def test_formal_experiments_exit_2_beyond_their_degree_budget():
             run(cfg)
 
 
+def test_period_convergence_exits_2_outside_its_domain_and_budget():
+    # h = 1 has no deformation base, and nmax < 2h leaves fewer than two
+    # differences to compare
+    for args in (["--h", "1"], ["--nmax", "0"], ["--nmax", "3"], ["--h", "1", "--nmax", "0"],
+                 ["--p", "2", "--h", "2", "--nmax", "2"], ["--h", "3", "--nmax", "5"]):
+        assert main(["run", "period-convergence", *args]) == 2, args
+    # the monomials of a_0..a_nmax grow like the h-step Fibonacci numbers:
+    # h = 2 fits nmax = 21 (46,367), h = 3 fits nmax = 17 (42,762)
+    for args in (["--nmax", "22"], ["--nmax", "40"], ["--h", "3", "--nmax", "21"],
+                 ["--h", "3", "--nmax", "18"], ["--nmax", str(10 ** 12)],
+                 ["--h", str(10 ** 6), "--nmax", str(3 * 10 ** 6)]):
+        assert main(["run", "period-convergence", *args]) == 2, args
+    with pytest.raises(ConfigInvalidError, match="budget"):
+        run(ExperimentConfig("period-convergence", h=3, nmax=21))
+    with pytest.raises(ConfigInvalidError, match="nmax >= 2h"):
+        run(ExperimentConfig("period-convergence", h=2, nmax=3))
+
+
 @pytest.mark.parametrize("dmax", [13, 16])
 def test_fn_sequence_compares_the_tail_beyond_dmax_12(dmax, tmp_path):
     # the tail f_n, n >= Dmax - 2, reaches past n = 10 from Dmax = 13 on

@@ -680,48 +680,85 @@ def test_quot_evaluation_matches_the_term_by_term_sum(p, N, deg, dmax, tuples, s
     assert eval_series_in_quot(g, x, ring) == _reference_eval_two_var(f, x, y, ring)
 
 
-# -- the truncated Lubin-Tate induction against the full-Dmax one ----------
+# -- the relaxed Lubin-Tate induction against the composition per degree ---
 
-def _reference_step(f_series, cur, n, two_var, ring):
-    """The old correction step: E composed at the full Dmax of cur."""
+def _reference_step(f_series, cur, n, two_var, ring, at):
+    """The old correction step: E = f(G) - G(f, ..., f) composed at Dmax `at`
+    (n for the step that lt_construct ran before the relaxed induction, cur's
+    Dmax for the one before that), returned at cur's Dmax."""
+    f = TruncSeries(ring, 1, at, f_series.terms)
+    g = TruncSeries(ring, cur.nvars, at, cur.terms)
     if two_var:
-        fX = TruncSeries(ring, 2, cur.dmax, {(e[0], 0): c for e, c in f_series.terms.items()})
-        fY = TruncSeries(ring, 2, cur.dmax, {(0, e[0]): c for e, c in f_series.terms.items()})
-        err = compose_univariate(f_series, cur).sub(substitute_two(cur, fX, fY))
+        fX = TruncSeries(ring, 2, at, {(e[0], 0): c for e, c in f.terms.items()})
+        fY = TruncSeries(ring, 2, at, {(0, e[0]): c for e, c in f.terms.items()})
+        err = compose_univariate(f, g).sub(substitute_two(g, fX, fY))
     else:
-        err = compose_univariate(f_series, cur).sub(compose_univariate(cur, f_series))
+        err = compose_univariate(f, g).sub(compose_univariate(g, f))
     denom = ring.p ** n - ring.p
     return TruncSeries(ring, cur.nvars, cur.dmax,
                        {e: ring.divexact_int(c, denom)
                         for e, c in err.terms.items() if sum(e) == n})
 
 
-def _reference_lt(p, f_coeffs, dmax, N, mults):
+def _reference_lt_construct(p, f_coeffs, dmax, N, mults, full_dmax=False):
+    """(working F, public F, {a: [a]}) by one composition per degree, every
+    [a] by its own induction (also a = p, which lt_construct reads off f)."""
     work = IntModRing(p, N + dmax)
     public = IntModRing(p, N)
     f = series_from_int_coeffs(work, f_coeffs, dmax)
-    F = TruncSeries(work, 2, dmax, {(1, 0): 1, (0, 1): 1})
-    for n in range(2, dmax + 1):
-        F = F.add(_reference_step(f, F, n, True, work))
-    out = {}
-    for a in mults:
-        cur = TruncSeries(work, 1, dmax, {(1,): work.from_int(a)})
+
+    def induction(cur):
         for n in range(2, dmax + 1):
-            cur = cur.add(_reference_step(f, cur, n, False, work))
-        out[a] = cur.map_coefficients(public.from_int, public)
-    return F, F.map_coefficients(public.from_int, public), out
+            cur = cur.add(_reference_step(f, cur, n, cur.nvars == 2, work,
+                                          dmax if full_dmax else n))
+        return cur
+
+    F = induction(TruncSeries(work, 2, dmax, {(1, 0): 1, (0, 1): 1}))
+    mult = {a: induction(TruncSeries(work, 1, dmax, {(1,): work.from_int(a)}))
+            for a in mults}
+    return F, F.map_coefficients(public.from_int, public), {
+        a: g.map_coefficients(public.from_int, public) for a, g in mult.items()}
+
+
+def _assert_module_matches(M, reference):
+    F_work, F_pub, mult = reference
+    _assert_identical(M.F, F_pub)
+    _assert_identical(M.work_series()[1], F_work)
+    for a, g in mult.items():
+        _assert_identical(M.mult(a), g)
 
 
 @pytest.mark.parametrize("p,fdict,dmax", [(2, {1: 2, 2: 1}, 10), (3, {1: 3, 9: 1}, 11),
                                           (7, {1: 7, 7: 1}, 14)])
 def test_lt_construct_matches_full_dmax_induction(p, fdict, dmax):
     mults = (2, -1, p + 1)
-    F_work, F_pub, ref = _reference_lt(p, fdict, dmax, 6, mults)
-    M = lt_construct(p, fdict, dmax, 6)
-    _assert_identical(M.F, F_pub)
-    _assert_identical(M.work_series()[1], F_work)
-    for a in mults:
-        _assert_identical(M.mult(a), ref[a])
+    _assert_module_matches(lt_construct(p, fdict, dmax, 6),
+                           _reference_lt_construct(p, fdict, dmax, 6, mults, full_dmax=True))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3),
+       st.sampled_from(["plain", "extra", "sparse"]), st.sampled_from([1, 4, 8]),
+       st.integers(0, 10 ** 6))
+def test_lt_construct_matches_the_composition_per_degree(p, h, shape, N, seed):
+    # f = pX + X^q, q = p^h (or p where p^h > 27); "extra" adds p-divisible
+    # terms below Dmax, and "sparse" takes Dmax < 2q and a top term above
+    # Dmax/2, where most parts of G and of its powers are zero
+    rng = random.Random(seed)
+    q = p ** h if p ** h <= 27 else p
+    fdict = {1: p, q: 1}
+    if shape == "sparse":
+        dmax = rng.randint(q, 2 * q - 1)
+        top = rng.randint(dmax // 2 + 1, dmax)
+        fdict[top] = fdict.get(top, 0) + p * rng.randint(1, 9)
+    else:
+        dmax = rng.randint(2, q + 4)
+        for _ in range(rng.randint(1, 3) if shape == "extra" else 0):
+            e = rng.randint(2, dmax)
+            fdict[e] = fdict.get(e, 0) + p * rng.randint(-9, 9)
+    mults = (0, -1, p, p * p, rng.randint(-50, 50))
+    _assert_module_matches(lt_construct(p, fdict, dmax, N),
+                           _reference_lt_construct(p, fdict, dmax, N, mults))
 
 
 def test_binom_int_for_every_integer_top():
