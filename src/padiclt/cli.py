@@ -17,7 +17,6 @@ from .experiments import (
     ConfigInvalidError,
     ExperimentConfig,
     Report,
-    UnknownExperimentError,
     emit,
     run,
 )
@@ -96,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         report = run(cfg)
-    except (UnknownExperimentError, ConfigInvalidError) as exc:
+    except ConfigInvalidError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     blob = emit(report, args.format, args.with_timings)

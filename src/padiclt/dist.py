@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .divalg import DivElem, div_mul, div_one
 from .domain import Section, gamma_act
-from .padics import PadicScalar, scalar_add
+from .padics import PadicScalar, _vp, scalar_add
 
 
 class ExpansionTooLargeError(ValueError):
@@ -60,21 +60,6 @@ class GroupRingElem:
         from .padics import scalar_mul_int
         return GroupRingElem(self.ctx, [(scalar_mul_int(c, k), g) for c, g in self.pairs])
 
-    def to_json(self) -> list:
-        return [{"coeff": list(c.coords), "gamma": [list(x.coords) for x in g.coeffs]}
-                for c, g in self.pairs]
-
-    @staticmethod
-    def from_json(ctx, blob: list) -> "GroupRingElem":
-        return GroupRingElem(ctx, [
-            (ctx.from_coords(d["coeff"]),
-             DivElem(ctx, tuple(ctx.from_coords(x) for x in d["gamma"])))
-            for d in blob])
-
-
-def dirac(ctx, gamma: DivElem) -> GroupRingElem:
-    return GroupRingElem(ctx, [(ctx.one(), gamma)])
-
 
 @dataclass
 class BMonomialSet:
@@ -87,9 +72,6 @@ class BMonomialSet:
         if len(self.gammas) != len(self.alpha):
             raise ValueError("base tuple and exponent lengths differ")
 
-    def total(self) -> int:
-        return sum(self.alpha)
-
 
 def dist_norm_r(coeffs: dict[tuple[int, ...], PadicScalar | int],
                 r: Fraction, p: int) -> Fraction:
@@ -99,13 +81,9 @@ def dist_norm_r(coeffs: dict[tuple[int, ...], PadicScalar | int],
     best = Fraction(0)
     for alpha, d in coeffs.items():
         if isinstance(d, int):
-            v = 0
-            dd = d
-            if dd == 0:
+            if d == 0:
                 continue
-            while dd % p == 0:
-                dd //= p
-                v += 1
+            v = _vp(d, p)
         else:
             v = d.valuation()
             if v is None:

@@ -27,7 +27,6 @@ these precisions q:
 
 from __future__ import annotations
 
-import json
 from operator import mul
 
 from .linalg import determinant, solve_unit_system
@@ -44,7 +43,6 @@ from .padics import (
     frobenius,
     scalar_add,
     scalar_mul_int,
-    scalar_sub,
 )
 
 # Composition order of the j-homomorphism, fixed by the pre-build oracle
@@ -78,32 +76,11 @@ class DivElem:
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )
 
-    def __hash__(self):
-        return hash(tuple(c.key() for c in self.coeffs))
-
     def key(self) -> tuple:
         return tuple(c.key() for c in self.coeffs)
 
     def is_unit(self) -> bool:
         return self.coeffs[0].valuation() == 0
-
-    def pi_valuation(self) -> int | None:
-        """min_i (h*v(lambda_i) + i), the Pi-adic valuation; None if all zero."""
-        h = self.h
-        vals = []
-        for i, c in enumerate(self.coeffs):
-            v = c.valuation()
-            if v is not None:
-                vals.append(h * v + i)
-        return min(vals) if vals else None
-
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": [list(c.coords) for c in self.coeffs]})
-
-    @staticmethod
-    def from_json(ctx: UnramContext, s: str) -> "DivElem":
-        d = json.loads(s)
-        return DivElem(ctx, tuple(ctx.from_coords(c) for c in d["coeffs"]))
 
 
 def div_one(ctx: UnramContext) -> DivElem:
@@ -115,26 +92,9 @@ def div_from_scalar(lam: PadicScalar) -> DivElem:
     return DivElem(ctx, (lam,) + tuple(ctx.zero() for _ in range(ctx.e - 1)))
 
 
-def div_pi(ctx: UnramContext, power: int = 1) -> DivElem:
-    """Pi^power for 0 <= power < h."""
-    coeffs = [ctx.zero()] * ctx.e
-    coeffs[power] = ctx.one()
-    return DivElem(ctx, tuple(coeffs))
-
-
 def _check_ctx(a: DivElem, b: DivElem) -> None:
     if not a.ctx.same_ring(b.ctx):
         raise ContextMismatchError("division-algebra elements from different contexts")
-
-
-def div_add(a: DivElem, b: DivElem) -> DivElem:
-    _check_ctx(a, b)
-    return DivElem(a.ctx, tuple(scalar_add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def div_sub(a: DivElem, b: DivElem) -> DivElem:
-    _check_ctx(a, b)
-    return DivElem(a.ctx, tuple(scalar_sub(x, y) for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def div_mul(a: DivElem, b: DivElem) -> DivElem:
@@ -272,20 +232,6 @@ def mat_eq(A: list[list[PadicScalar]], B: list[list[PadicScalar]]) -> bool:
 def nrd(a: DivElem) -> PadicScalar:
     """Reduced norm as det(j(a)); lands in Z_p up to precision."""
     return determinant(j_embed(a), a.ctx)
-
-
-def in_filtration(a: DivElem, n: int) -> bool:
-    """Membership in Gamma_n = 1 + p^n o_{B_h} (Gamma_0 := Gamma)."""
-    if n < 0:
-        raise ValueError("filtration level must be >= 0")
-    if n == 0:
-        return a.is_unit()
-    diff = div_sub(a, div_one(a.ctx))
-    for c in diff.coeffs:
-        v = c.valuation()
-        if v is not None and v < n:
-            return False
-    return True
 
 
 def sample_gamma(ctx: UnramContext, n: int, rng) -> DivElem:

@@ -138,18 +138,6 @@ class DomainFunc(TruncSeries):
     def at_precision(self, n: int) -> "DomainFunc":
         return self._build({e: c.at_precision(n) for e, c in self.terms.items()})
 
-    def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "Dmax": self.dmax,
-            "terms": [[list(e), list(c.coords)] for e, c in sorted(self.terms.items())],
-        }
-
-    @staticmethod
-    def from_json(ctx: UnramContext, d: dict) -> "DomainFunc":
-        return DomainFunc(ctx, d["h"], d["Dmax"],
-                          {tuple(e): ctx.from_coords(c) for e, c in d["terms"]})
-
     def evaluate(self, point: list[PadicScalar]) -> PadicScalar:
         """Value at a point of the domain (list of h-1 scalars)."""
         acc = self.ctx.zero()
@@ -219,15 +207,6 @@ class Section:
 
     def gauss_valuation(self) -> int:
         return self.func.gauss_valuation()
-
-    def to_json(self) -> dict:
-        d = self.func.to_json()
-        d["s"] = self.twist
-        return d
-
-    @staticmethod
-    def from_json(ctx: UnramContext, d: dict) -> "Section":
-        return Section(DomainFunc.from_json(ctx, d), d["s"])
 
 
 def monomial_section(ctx, h, dmax, exp, s: int) -> Section:

@@ -26,16 +26,15 @@ from .domain import (
     lie_finite_difference, monomial_section, monomials, operator_kernel, p_act,
     random_domain_func, reach_span,
 )
-from .padics import make_context, scalar_inv, scalar_mul, scalar_sub
+from .padics import (
+    _PRIME_BOUND, _is_prime, _vp, make_context, scalar_inv, scalar_mul, scalar_sub,
+)
 from .series import IntModRing, TruncSeries, UnramRing, compose_univariate, series_var, substitute_two
 
 
-class UnknownExperimentError(ValueError):
-    pass
-
-
 class ConfigInvalidError(ValueError):
-    pass
+    """A config the experiments cannot run: unknown name, wrong type, out of
+    domain, or beyond a size budget."""
 
 
 SCHEMA_VERSION = 1
@@ -44,7 +43,7 @@ SCHEMA_VERSION = 1
 LIE_BRACKET_TRIALS = 200_000   # h = 5: 157,500 trials; h = 6: 653,184
 KERNEL_COLUMNS = 1_000         # monomials of degree <= 8; h = 5: 495; h = 6: 1,287
 # p-adic digits of the largest function the action experiments build, see
-# _check_action_budget; at N = 8, h <= 5 fits dheq-vs-matrix, action-law and
+# _action_digits; at N = 8, h <= 5 fits dheq-vs-matrix, action-law and
 # vs-stability, h <= 4 fits contraction and dist-norms, and action-law at
 # h = 2 fits N <= 68
 ACTION_DIGITS = 20_000
@@ -84,7 +83,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
-        if self.p < 2 or any(self.p % k == 0 for k in range(2, int(self.p ** 0.5) + 1)):
+        if self.p >= _PRIME_BOUND:
+            raise ConfigInvalidError(
+                f"p = {self.p} is beyond the primality test's budget p < {_PRIME_BOUND}")
+        if not _is_prime(self.p):
             raise ConfigInvalidError(f"p = {self.p} is not prime")
         if self.h < 1 or self.N < 1 or self.Dmax < 1 or self.nmax < 0:
             raise ConfigInvalidError("bounds must be positive")
@@ -181,26 +183,20 @@ class _Recorder:
             round((self._end - start) * 1000, 3)))
 
 
-def _check_action_budget(cfg: ExperimentConfig, degree: int) -> None:
-    """Reject a config whose largest function exceeds ACTION_DIGITS p-adic digits.
-
-    A function truncated at total degree `degree` has C(h-1+degree, h-1)
-    monomials, each coefficient e = h coordinates of N digits; the cost of
-    the substitution action grows with both the count and the width.
-    """
-    digits = math.comb(cfg.h - 1 + degree, cfg.h - 1) * cfg.h * cfg.N
-    if digits > ACTION_DIGITS:
+def _check_budget(cfg: ExperimentConfig, used: int, budget: int, what: str) -> None:
+    """Reject a config whose size `used` exceeds `budget`; `what` names the
+    size, with {} for `used`."""
+    if used > budget:
         raise ConfigInvalidError(
-            f"{cfg.experiment} at h = {cfg.h}, N = {cfg.N} builds functions of degree "
-            f"<= {degree} with {digits} p-adic digits; the budget is {ACTION_DIGITS}")
+            f"{cfg.experiment} at p = {cfg.p}, h = {cfg.h}, N = {cfg.N}, Dmax = {cfg.Dmax}, "
+            f"nmax = {cfg.nmax} {what.format(used)}; the budget is {budget}")
 
 
-def _check_formal_budget(cfg: ExperimentConfig, degree: int) -> None:
-    """Reject a config whose formal-group series runs past degree FORMAL_DEGREE."""
-    if degree > FORMAL_DEGREE:
-        raise ConfigInvalidError(
-            f"{cfg.experiment} at p = {cfg.p}, h = {cfg.h}, Dmax = {cfg.Dmax} truncates a "
-            f"formal-group series at degree {degree}, beyond its budget {FORMAL_DEGREE}")
+def _action_digits(cfg: ExperimentConfig, degree: int) -> int:
+    """p-adic digits of a function of total degree <= `degree`: C(h-1+degree, h-1)
+    monomials, each of e = h coordinates of N digits; the cost of the
+    substitution action grows with both the count and the width."""
+    return math.comb(cfg.h - 1 + degree, cfg.h - 1) * cfg.h * cfg.N
 
 
 # ---------------------------------------------------------------- experiments
@@ -211,11 +207,9 @@ def exp_j_homomorphism(cfg: ExperimentConfig) -> list[CheckRecord]:
     Size budget: 2^h h N p-adic digits in the determinant, at most NRD_DIGITS
     (h <= 8 at N = 8); a larger config is a config error.
     """
-    digits = 2 ** cfg.h * cfg.h * cfg.N
-    if digits > NRD_DIGITS:
-        raise ConfigInvalidError(
-            f"j-homomorphism at h = {cfg.h}, N = {cfg.N} takes determinants of "
-            f"{digits} p-adic digits; the budget is {NRD_DIGITS}")
+    # past h = 15, 2^h alone exceeds the budget: cap h so the count stays small
+    _check_budget(cfg, 2 ** min(cfg.h, NRD_DIGITS.bit_length()) * cfg.h * cfg.N, NRD_DIGITS,
+                  "takes determinants of at least {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -287,7 +281,8 @@ def exp_dheq_vs_matrix(cfg: ExperimentConfig) -> list[CheckRecord]:
     Size budget: functions of degree <= 6, at most ACTION_DIGITS p-adic
     digits (h <= 5 at N = 8); a larger config is a config error.
     """
-    _check_action_budget(cfg, 6)
+    _check_budget(cfg, _action_digits(cfg, 6), ACTION_DIGITS,
+                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -344,7 +339,9 @@ def exp_action_law(cfg: ExperimentConfig) -> list[CheckRecord]:
     at N = 8, N <= 68 at h = 2); a larger config is a config error.
     """
     dmax = 6
-    _check_action_budget(cfg, cfg.h * cfg.N + (cfg.h - 1) * dmax if cfg.h == 2 else dmax)
+    degree = cfg.h * cfg.N + (cfg.h - 1) * dmax if cfg.h == 2 else dmax
+    _check_budget(cfg, _action_digits(cfg, degree), ACTION_DIGITS,
+                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -452,11 +449,8 @@ def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
     (h <= 5); a larger h is a config error.
     """
     h = cfg.h
-    needed = 2 * math.comb(h + 4, h - 1) * h ** 4
-    if needed > LIE_BRACKET_TRIALS:
-        raise ConfigInvalidError(
-            f"lie-bracket at h = {h} needs {needed} bracket trials; "
-            f"the budget is {LIE_BRACKET_TRIALS} (h <= 5)")
+    _check_budget(cfg, 2 * math.comb(h + 4, h - 1) * h ** 4, LIE_BRACKET_TRIALS,
+                  "needs {} bracket trials")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, h, cfg.N)
     t0 = time.perf_counter()
@@ -583,7 +577,8 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
     """Size budget: functions of degree <= s + 2 = 7 (h <= 5 at N = 8)."""
-    _check_action_budget(cfg, 7)
+    _check_budget(cfg, _action_digits(cfg, 7), ACTION_DIGITS,
+                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -611,9 +606,12 @@ def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
-    if cfg.h < 2:
+    """Domain: 2 <= h <= 8, so that the seed monomials have a coordinate w_1
+    and the degree-h seed fits under the truncation degree 8."""
+    if not 2 <= cfg.h <= 8:
         raise ConfigInvalidError(
-            "reachability needs h >= 2: its seed monomials need a coordinate w_1")
+            f"reachability needs 2 <= h <= 8, got h = {cfg.h}: its seeds need a "
+            "coordinate w_1, and one has degree h within the truncation degree 8")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     dmax = 8
@@ -651,11 +649,7 @@ def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
     most KERNEL_COLUMNS (h <= 5); a larger h is a config error.
     """
     h = cfg.h
-    columns = math.comb(h + 7, h - 1)
-    if columns > KERNEL_COLUMNS:
-        raise ConfigInvalidError(
-            f"kernels at h = {h} needs {columns} monomial columns; "
-            f"the budget is {KERNEL_COLUMNS} (h <= 5)")
+    _check_budget(cfg, math.comb(h + 7, h - 1), KERNEL_COLUMNS, "needs {} monomial columns")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, h, cfg.N)
     const = tuple([0] * (h - 1))
@@ -737,7 +731,8 @@ def exp_contraction(cfg: ExperimentConfig) -> list[CheckRecord]:
     """
     # the second check's degree budget keeps the truncation floor above |alpha| n h
     bdmax = 14 if cfg.h == 2 else 10
-    _check_action_budget(cfg, bdmax)
+    _check_budget(cfg, _action_digits(cfg, bdmax), ACTION_DIGITS,
+                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     t0 = time.perf_counter()
@@ -825,7 +820,7 @@ def exp_formal_group_axioms(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 def exp_gm_identities(cfg: ExperimentConfig) -> list[CheckRecord]:
     """Size budget: series of degree Dmax <= FORMAL_DEGREE."""
-    _check_formal_budget(cfg, cfg.Dmax)
+    _check_budget(cfg, cfg.Dmax, FORMAL_DEGREE, "truncates a formal-group series at degree {}")
     rec = _Recorder(cfg)
     p = cfg.p
     dmax = cfg.Dmax
@@ -868,12 +863,8 @@ def exp_logarithm(cfg: ExperimentConfig) -> list[CheckRecord]:
     d = lg.denom_exp
     expect = {}
     for n in range(1, 13):
-        v = 0
-        u = n
-        while u % p == 0:
-            u //= p
-            v += 1
-        c = pow(u, -1, ring.pN) * p ** (d - v) * (1 if n % 2 == 1 else -1)
+        v = _vp(n, p)
+        c = pow(n // p ** v, -1, ring.pN) * p ** (d - v) * (1 if n % 2 == 1 else -1)
         expect[(n,)] = c % ring.pN
     rec.add("multiplicative-log",
             "the multiplicative law integrates to sum (-1)^(n+1) X^n / n",
@@ -898,7 +889,8 @@ def exp_logarithm(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 def exp_height(cfg: ExperimentConfig) -> list[CheckRecord]:
     """Size budget: the height-3 law's degree p^3 + 2 <= FORMAL_DEGREE (p <= 7)."""
-    _check_formal_budget(cfg, cfg.p ** 3 + 2)
+    _check_budget(cfg, cfg.p ** 3 + 2, FORMAL_DEGREE,
+                  "truncates a formal-group series at degree {}")
     rec = _Recorder(cfg)
     p = cfg.p
     t0 = time.perf_counter()
@@ -927,10 +919,7 @@ def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
     """Size budget: the group law's truncation degree 6(p-1)+2 <= LEVEL_DEGREE."""
     p = cfg.p
     dm = 6 * (p - 1) + 2
-    if dm > LEVEL_DEGREE:
-        raise ConfigInvalidError(
-            f"level-structure at p = {p} truncates its Lubin-Tate group at degree {dm}; "
-            f"the budget is {LEVEL_DEGREE} (p <= 13)")
+    _check_budget(cfg, dm, LEVEL_DEGREE, "truncates its Lubin-Tate group at degree {}")
     rec = _Recorder(cfg)
     prec = 6
     t0 = time.perf_counter()
@@ -964,10 +953,9 @@ def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
     """Size budget: the law's degree p^h + 4 <= FORMAL_DEGREE."""
-    if cfg.h > FORMAL_DEGREE.bit_length():  # then p^h > FORMAL_DEGREE for every p
-        raise ConfigInvalidError(f"endomorphism-frobenius at h = {cfg.h} truncates a "
-                                 f"formal-group series beyond its budget {FORMAL_DEGREE}")
-    _check_formal_budget(cfg, cfg.p ** cfg.h + 4)
+    # past h = 9, p^h alone exceeds the budget: cap h so the degree stays small
+    _check_budget(cfg, cfg.p ** min(cfg.h, FORMAL_DEGREE.bit_length()) + 4, FORMAL_DEGREE,
+                  "truncates a formal-group series at degree at least {}")
     rec = _Recorder(cfg)
     p = cfg.p
     hh = cfg.h
@@ -1013,10 +1001,7 @@ def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
     counts = [1]
     while len(counts) <= nmax and sum(counts) <= PERIOD_TERMS:
         counts.append(sum(counts[-h:]))
-    if sum(counts) > PERIOD_TERMS:
-        raise ConfigInvalidError(
-            f"period-convergence at h = {h}, nmax = {nmax} recurses through at least "
-            f"{sum(counts)} monomials; the budget is {PERIOD_TERMS}")
+    _check_budget(cfg, sum(counts), PERIOD_TERMS, "recurses through at least {} monomials")
     rec = _Recorder(cfg)
     budget = periods.degree_budget(p, nmax)
     t0 = time.perf_counter()
@@ -1095,7 +1080,8 @@ def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
     larger config is a config error.
     """
     W = cfg.h * cfg.N + 5 if cfg.h == 2 else 12
-    _check_action_budget(cfg, W)
+    _check_budget(cfg, _action_digits(cfg, W), ACTION_DIGITS,
+                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -1169,7 +1155,7 @@ EXPERIMENTS = {
 def run(cfg: ExperimentConfig) -> Report:
     cfg.validate()
     if cfg.experiment not in EXPERIMENTS:
-        raise UnknownExperimentError(
+        raise ConfigInvalidError(
             f"unknown experiment {cfg.experiment!r}; see `list`")
     checks = EXPERIMENTS[cfg.experiment](cfg)
     return Report(cfg.experiment, cfg.to_json(), checks)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
+from .padics import _vp
 from .series import (
     IntModRing,
     PrecisionLossError,
@@ -154,12 +155,8 @@ def _check_frobenius_poly(p: int, f_coeffs: dict[int, int]) -> int:
     if len(residue) != 1:
         raise NotFrobeniusPolyError("need f(X) = X^(p^j) mod p")
     (exp, c), = residue.items()
-    j = 0
-    q = exp
-    while q % p == 0:
-        q //= p
-        j += 1
-    if q != 1 or j < 1 or c % p != 1:
+    j = _vp(exp, p)
+    if exp != p ** j or j < 1 or c % p != 1:
         raise NotFrobeniusPolyError("need f(X) = X^(p^j) mod p with unit coefficient 1")
     return exp
 
@@ -229,11 +226,6 @@ class Logarithm:
         self.numerator = numerator
         self.denom_exp = denom_exp
 
-    def to_json(self) -> dict:
-        d = self.numerator.to_json()
-        d["denominator_exponent"] = self.denom_exp
-        return d
-
 
 def logarithm(module: FormalModule) -> Logarithm:
     """The unique phi = X mod deg 2 with d phi = F_X(0,X)^(-1) dX.
@@ -267,11 +259,8 @@ def logarithm(module: FormalModule) -> Logarithm:
         k = n + 1
         if k > dmax:
             continue
-        v = 0
-        u = k
-        while u % p == 0:
-            u //= p
-            v += 1
+        v = _vp(k, p)
+        u = k // p ** v
         scaled = ring.mul_int(ring.mul(c, ring.inv_unit(ring.from_int(u))), p ** (d - v))
         num_terms[(k,)] = scaled
     num_work = TruncSeries(ring, 1, dmax, num_terms)
@@ -293,12 +282,8 @@ def height(module: FormalModule) -> int | float:
     if mp.is_zero():
         return math.inf
     e0 = min(e[0] for e in mp.terms)
-    h = 0
-    r = e0
-    while r % q == 0:
-        r //= q
-        h += 1
-    if r != 1 or h < 1:
+    h = _vp(e0, q)
+    if e0 != q ** h or h < 1:
         raise InconclusiveError(f"lowest exponent {e0} of [p] is not a positive q-power")
     return h
 
@@ -388,11 +373,6 @@ def _horner_in_quot(rows: list, x, ring: QuotRing):
     for row in reversed(rows):
         acc = ring.add(ring.mul(acc, x), row)
     return acc
-
-
-def eval_two_var_in_quot(series: TruncSeries, x, y, ring: QuotRing):
-    """Horner evaluation in x of a two-variable series, with the rows of y."""
-    return _horner_in_quot(_rows_in_quot(series, y, ring), x, ring)
 
 
 def make_level_points(module: FormalModule, ring: QuotRing, m: int) -> list:

@@ -25,7 +25,6 @@ sum reduced at p^m and cut mod p^q is the sum reduced at p^q.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
@@ -117,6 +116,45 @@ def _is_irreducible_mod_p(poly: list[int], p: int) -> bool:
     return True
 
 
+def _vp(n: int, p: int) -> int:
+    """v_p(n), the exponent of p in n; 0 for n = 0."""
+    v = 0
+    while n and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+# Miller-Rabin on the first 13 primes as bases decides every n below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017); the first 12 reach only 318,665,857,834,031,151,167,461.
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n < _PRIME_BOUND is prime, by deterministic Miller-Rabin."""
+    if n < 2:
+        return False
+    if n in _PRIME_BASES:
+        return True
+    if any(n % a == 0 for a in _PRIME_BASES):
+        return False
+    s = _vp(n - 1, 2)
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _coords_valuation(coords: tuple[int, ...], p: int) -> int | None:
     """min_i v_p(coords[i]) over the nonzero coordinates; None if all are 0."""
     best: int | None = None
@@ -199,27 +237,6 @@ class UnramContext:
             if a.valuation() == 0:
                 return a
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "e": self.e,
-                "N": self.N,
-                "modulus": list(self.modulus),
-                "frobenius": [list(col) for col in self.frobenius],
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "UnramContext":
-        d = json.loads(s)
-        return UnramContext(
-            d["p"], d["e"], d["N"],
-            tuple(d["modulus"]),
-            tuple(tuple(col) for col in d["frobenius"]),
-        )
-
 
 class PadicScalar:
     """Element of o_e reduced mod p^prec, immutable."""
@@ -249,9 +266,6 @@ class PadicScalar:
         n = min(self.prec, other.prec)
         pn = self.ctx.p ** n
         return all((a - b) % pn == 0 for a, b in zip(self.coords, other.coords))
-
-    def __hash__(self):
-        return hash((self.coords, self.prec))
 
     def key(self) -> tuple:
         return (self.coords, self.prec)
@@ -469,10 +483,6 @@ def frobenius(a: PadicScalar, k: int = 1) -> PadicScalar:
     return PadicScalar(ctx, tuple(sum(map(mul, row, c)) % pn for row in rows), a.prec)
 
 
-def valuation(a: PadicScalar) -> int | None:
-    return a.valuation()
-
-
 def _lift_root_newton(ctx_nofrob: UnramContext, start: PadicScalar) -> PadicScalar:
     """Root of the modulus congruent to `start` mod p, Hensel-lifted to full precision."""
     mod = ctx_nofrob.modulus
@@ -504,8 +514,8 @@ def make_context(p: int, e: int, N: int) -> UnramContext:
     Frobenius matrix is computed by Hensel-lifting the p-power map on the
     residue field.
     """
-    if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"p must be prime, got {p}")
+    if not (p < _PRIME_BOUND and _is_prime(p)):
+        raise ValueError(f"p must be a prime below {_PRIME_BOUND}, got {p}")
     if e < 1 or N < 1:
         raise ValueError("need e >= 1 and N >= 1")
 

@@ -12,22 +12,13 @@ recursion identity and all norms are computed exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .padics import ZeroAtPrecisionError
+from .padics import ZeroAtPrecisionError, _vp
 
 
 class DegreeOverflowError(ValueError):
     """The recursion would create exponents beyond Dmax (never truncated)."""
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass
@@ -118,21 +109,6 @@ class UnivPoly:
         i.e. the polynomial is power-bounded on the l=1 polydisc."""
         g = self.normalized()
         return all(g.denom - _vp(c, g.p) <= sum(e) for e, c in g.terms.items() if c)
-
-    def to_json(self) -> dict:
-        g = self.normalized()
-        return {
-            "vars": g.h - 1,
-            "Dmax": g.dmax,
-            "denominator_exponent": g.denom,
-            "terms": [[list(e), c] for e, c in sorted(g.terms.items())],
-        }
-
-    @staticmethod
-    def from_json(p: int, s: str | dict) -> "UnivPoly":
-        d = json.loads(s) if isinstance(s, str) else s
-        return UnivPoly(d["vars"] + 1, p, d["Dmax"], d["denominator_exponent"],
-                        {tuple(e): c for e, c in d["terms"]})
 
 
 def univ_one(h: int, p: int, dmax: int) -> UnivPoly:

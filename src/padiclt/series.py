@@ -58,6 +58,7 @@ from .padics import (
     _coords_mul,
     _reduce_packed,
     _slot_width,
+    _vp,
     scalar_add,
     scalar_inv,
     scalar_mul,
@@ -108,26 +109,13 @@ class IntModRing:
     def eq(self, a, b):
         return (a - b) % self.pN == 0
 
-    def valuation(self, a):
-        a %= self.pN
-        if a == 0:
-            return None
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
-
     def inv_unit(self, a):
         return pow(a, -1, self.pN)
 
     def divexact_int(self, a, n):
         """a / n when n = p^v * u divides a exactly mod p^N (value mod p^(N-v))."""
-        v = 0
-        u = n
-        while u % self.p == 0:
-            u //= self.p
-            v += 1
+        v = _vp(n, self.p)
+        u = n // self.p ** v
         a %= self.pN
         if v:
             if a % self.p ** v:
@@ -178,9 +166,6 @@ class UnramRing:
     def eq(self, a, b):
         return a == b
 
-    def valuation(self, a):
-        return a.valuation()
-
     def inv_unit(self, a):
         return scalar_inv(a)
 
@@ -214,19 +199,23 @@ class QuotRing:
         return (0, 1) + (0,) * (self.deg - 2)
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        pn = self.base.pN
+        return tuple([(x + y) % pn for x, y in zip(a, b)])
 
     def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        pn = self.base.pN
+        return tuple([(x - y) % pn for x, y in zip(a, b)])
 
     def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
+        pn = self.base.pN
+        return tuple([-x % pn for x in a])
 
     def mul(self, a, b):
         return _coords_mul(a, b, self.phi, self.deg, self.base.pN)
 
     def mul_int(self, a, k):
-        return tuple(self.base.mul_int(x, k) for x in a)
+        pn = self.base.pN
+        return tuple([x * k % pn for x in a])
 
     def is_zero(self, a):
         return all(x % self.base.pN == 0 for x in a)
@@ -337,35 +326,6 @@ class TruncSeries:
                 base = base.mul(base)
         return result
 
-    def derivative(self, var: int = 0) -> "TruncSeries":
-        ring = self.ring
-        out = {}
-        for exp, c in self.terms.items():
-            n = exp[var]
-            if n:
-                ne = list(exp)
-                ne[var] = n - 1
-                out[tuple(ne)] = ring.mul_int(c, n)
-        return self._build(out)
-
-    def integrate(self, var: int = 0) -> "TruncSeries":
-        """Antiderivative with zero constant term; divisions must be exact."""
-        ring = self.ring
-        out = {}
-        for exp, c in self.terms.items():
-            n = exp[var]
-            ne = list(exp)
-            ne[var] = n + 1
-            if sum(ne) > self.dmax:
-                continue
-            try:
-                out[tuple(ne)] = ring.divexact_int(c, n + 1)
-            except PrecisionLossError as exc:
-                raise PrecisionLossError(
-                    f"integration hit inexact division by {n + 1} at degree {sum(exp)}"
-                ) from exc
-        return self._build(out)
-
     def map_coefficients(self, fn, new_ring) -> "TruncSeries":
         out = {}
         for exp, c in self.terms.items():
@@ -373,13 +333,6 @@ class TruncSeries:
             if not new_ring.is_zero(nc):
                 out[exp] = nc
         return TruncSeries(new_ring, self.nvars, self.dmax, out)
-
-    def to_json(self) -> dict:
-        return {
-            "vars": self.nvars,
-            "Dmax": self.dmax,
-            "terms": [[list(exp), coeff_repr(c)] for exp, c in sorted(self.terms.items())],
-        }
 
 
 def geometric_inverse(u: TruncSeries) -> TruncSeries:
@@ -585,20 +538,6 @@ def substitute(f: TruncSeries, gens: list[TruncSeries]) -> TruncSeries:
         return step
 
     return like._build(unpack(step_sum(pairs(f.terms, 0)), like.nvars, stride), filtered=True)
-
-
-def coeff_repr(c):
-    if isinstance(c, int):
-        return c
-    if isinstance(c, PadicScalar):
-        return list(c.coords)
-    return list(c)
-
-
-def series_const(ring, nvars: int, dmax: int, value) -> TruncSeries:
-    if ring.is_zero(value):
-        return TruncSeries(ring, nvars, dmax)
-    return TruncSeries(ring, nvars, dmax, {(0,) * nvars: value})
 
 
 def series_var(ring, nvars: int, dmax: int, var: int) -> TruncSeries:

@@ -10,7 +10,6 @@ from padiclt.experiments import (
     EXPERIMENTS,
     ConfigInvalidError,
     ExperimentConfig,
-    UnknownExperimentError,
     emit,
     run,
 )
@@ -44,10 +43,13 @@ def test_invalid_config_exits_2(tmp_path):
         run(ExperimentConfig("height", p="5"))
     with pytest.raises(ConfigInvalidError):
         run(ExperimentConfig(["height"]))
-    # reachability's seeds need a domain coordinate
+    # reachability's seeds need a domain coordinate, and one of degree h
+    # must fit under its truncation degree 8
     assert main(["run", "reachability", "--h", "1"]) == 2
-    with pytest.raises(ConfigInvalidError):
-        run(ExperimentConfig("reachability", h=1))
+    assert main(["run", "reachability", "--h", "9"]) == 2
+    for h in (1, 9, 40):
+        with pytest.raises(ConfigInvalidError):
+            run(ExperimentConfig("reachability", h=h))
     # sizes beyond an experiment's budget exit 2 before any work, not hang
     for name in ("lie-bracket", "kernels"):
         assert main(["run", name, "--h", "12"]) == 2, name
@@ -57,6 +59,19 @@ def test_invalid_config_exits_2(tmp_path):
     # j-homomorphism's determinant has 2^h states
     assert main(["run", "j-homomorphism", "--h", "14"]) == 2
     assert main(["run", "j-homomorphism", "--h", "4", "--N", "400"]) == 2
+    assert main(["run", "j-homomorphism", "--h", str(10 ** 12)]) == 2
+
+
+def test_large_p_exits_2_without_trial_division():
+    # 10^14 + 31 is prime, and past every degree budget; trial division up to
+    # its square root took over a second
+    t0 = time.perf_counter()
+    assert main(["run", "height", "--p", "100000000000031"]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(ConfigInvalidError, match="budget"):
+        run(ExperimentConfig("height", p=3_317_044_064_679_887_385_961_981))
+    with pytest.raises(ConfigInvalidError, match="not prime"):
+        run(ExperimentConfig("height", p=3_215_031_751))
 
 
 def test_action_experiments_exit_2_beyond_their_budget():
@@ -165,7 +180,7 @@ def test_emit_empty_report_has_header_only():
 
 
 def test_run_api_errors():
-    with pytest.raises(UnknownExperimentError):
+    with pytest.raises(ConfigInvalidError):
         run(ExperimentConfig("nope"))
     with pytest.raises(ConfigInvalidError):
         run(ExperimentConfig("height", p=6))

@@ -156,9 +156,10 @@ def test_norm_preserved_by_action():
 
 def test_gamma_act_rejects_non_units():
     from padiclt.padics import NonUnitError
-    from padiclt.divalg import div_pi
+    from padiclt.divalg import DivElem
+    pi = DivElem(CTX2, (CTX2.zero(), CTX2.one()))
     with pytest.raises(NonUnitError):
-        gamma_act(div_pi(CTX2, 1), domain_var(CTX2, 2, 4, 1))
+        gamma_act(pi, domain_var(CTX2, 2, 4, 1))
 
 
 def test_p_act_membership_and_restriction():
@@ -337,16 +338,6 @@ def test_vs_stability_support():
             g = sample_gamma(CTX3, 0, rng)
             y = gamma_act(g, monomial_section(CTX3, 3, s + 2, e, s))
             assert all(sum(t) <= s for t in y.func.terms)
-
-
-def test_section_json_round_trip():
-    rng = random.Random(14)
-    x = Section(random_domain_func(CTX3, 3, 4, rng), -1)
-    d = x.to_json()
-    assert d["s"] == -1 and d["h"] == 3 and d["terms"]
-    assert Section.from_json(CTX3, d).eq(x)
-    f = random_domain_func(CTX2, 2, 5, rng)
-    assert DomainFunc.from_json(CTX2, f.to_json()).eq(f)
 
 
 def test_kernel_vectors_are_annihilated():

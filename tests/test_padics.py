@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclt.divalg import DivElem
 from padiclt.padics import (
     ContextMismatchError,
     NonUnitError,
     PadicScalar,
-    UnramContext,
+    _PRIME_BOUND,
     _coords_mul,
     _is_irreducible_mod_p,
+    _is_prime,
     _pack,
     _reduce_packed,
     _slot_width,
     _unpack,
+    _vp,
     frobenius,
     make_context,
     scalar_add,
@@ -25,7 +26,6 @@ from padiclt.padics import (
     scalar_mul_int,
     scalar_neg,
     scalar_sub,
-    valuation,
 )
 
 CTX32 = make_context(3, 2, 8)
@@ -174,17 +174,39 @@ def test_inverse_examples():
 
 
 def test_valuation_examples_and_properties():
-    assert valuation(CTX51.from_int(125)) == 3
-    assert valuation(CTX51.zero()) is None
+    assert CTX51.from_int(125).valuation() == 3
+    assert CTX51.zero().valuation() is None
     rng = random.Random(3)
     ctx = make_context(3, 2, 10)
     for _ in range(100):
         a, b = ctx.random_element(rng), ctx.random_element(rng)
-        va, vb = valuation(a), valuation(b)
+        va, vb = a.valuation(), b.valuation()
         if va is not None and vb is not None and va + vb < 5:
-            assert valuation(scalar_mul(a, b)) == va + vb
+            assert scalar_mul(a, b).valuation() == va + vb
         if va is not None and vb is not None and va != vb:
-            assert valuation(scalar_add(a, b)) == min(va, vb)
+            assert scalar_add(a, b).valuation() == min(va, vb)
+
+
+def test_vp_matches_a_plain_loop():
+    for p in (2, 3, 5, 7):
+        for n in range(-1000, 1001):
+            v, m = 0, n
+            while m != 0 and m % p == 0:
+                m //= p
+                v += 1
+            assert _vp(n, p) == v, (n, p)
+
+
+def test_primality_agrees_with_trial_division():
+    for n in range(10 ** 4):
+        assert _is_prime(n) == (n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))), n
+    # 561 is a Carmichael number; 2047, 3,215,031,751 and the last are the least
+    # strong pseudoprimes to the first 1, 4 and 12 prime bases
+    for n in (561, 2047, 3_215_031_751, 318_665_857_834_031_151_167_461):
+        assert not _is_prime(n), n
+    # 10^14 + 31, the Mersenne prime 2^61 - 1 and the largest prime below the bound
+    for n in (10 ** 14 + 31, 2 ** 61 - 1, _PRIME_BOUND - 168):
+        assert _is_prime(n), n
 
 
 def test_context_mismatch_rejected():
@@ -198,11 +220,6 @@ def test_reduction_idempotence():
         a = CTX32.random_element(rng)
         b = CTX32.from_coords(a.coords)
         assert a == b and b.coords == tuple(c % CTX32.pN for c in b.coords)
-
-
-def test_context_serialization_round_trip():
-    s = CTX32.to_json()
-    assert UnramContext.from_json(s) == CTX32
 
 
 def _reduced(x: PadicScalar) -> bool:
@@ -261,9 +278,6 @@ def test_from_coords_rejects_more_than_e_coordinates():
     assert ctx.from_coords([-3]).coords == (622,)
     with pytest.raises(ValueError):
         ctx.from_coords([-3, 5 ** 8])
-    # the same check on outside input: a coefficient with three coordinates at e = 2
-    with pytest.raises(ValueError):
-        DivElem.from_json(CTX32, '{"coeffs": [[1, 2, 3], [0, 1]]}')
 
 
 def _reduce_poly(prod, modulus, e, pn):

@@ -97,8 +97,3 @@ def test_q_power_block_exponents():
 def test_degree_overflow_is_an_error():
     with pytest.raises(DegreeOverflowError):
         univ_log_coeffs(2, 2, 9, degree_budget(2, 9) - 1)
-
-
-def test_json_round_trip():
-    ph = phi_approx(COEFFS, H, P, 0, 2)
-    assert UnivPoly.from_json(P, ph.to_json()).sub(ph).is_zero()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclt.padics import ContextMismatchError, PadicScalar, make_context
+from padiclt.padics import ContextMismatchError, PadicScalar, _vp, make_context
 from padiclt.series import (
     IntModRing,
     PrecisionLossError,
@@ -14,7 +14,6 @@ from padiclt.series import (
     UnramRing,
     compose_univariate,
     reduce_mod_p,
-    series_const,
     series_from_int_coeffs,
     series_var,
     substitute,
@@ -24,8 +23,8 @@ from padiclt import series
 from padiclt.formal import (
     InconclusiveError,
     eval_series_in_quot,
-    eval_two_var_in_quot,
     _binom_int,
+    _horner_in_quot,
     NotFrobeniusPolyError,
     WrongCardinalityError,
     check_endomorphism,
@@ -36,6 +35,7 @@ from padiclt.formal import (
     level_structure_check,
     logarithm,
     lt_construct,
+    _rows_in_quot,
     make_level_points,
     torsion_polynomial,
 )
@@ -43,26 +43,24 @@ from padiclt.formal import (
 R = IntModRing(3, 8)
 
 
-def test_derivative_and_identity_composition():
-    f = series_from_int_coeffs(R, {3: 1}, 10)
-    assert f.derivative().eq(series_from_int_coeffs(R, {2: 3}, 10))
+def _const(ring, nvars: int, dmax: int, value) -> TruncSeries:
+    return TruncSeries(ring, nvars, dmax, {(0,) * nvars: value})
+
+
+def test_identity_composition():
     g = series_from_int_coeffs(R, {1: 1, 2: 1}, 10)
     assert compose_univariate(g, series_var(R, 1, 10, 0)).eq(g)
 
 
-def test_integrate_round_trip():
-    rng = random.Random(0)
-    # unit-denominator-safe: support avoids exponents divisible by p, so the
-    # integration denominators are units and no precision is consumed
-    terms = {n: rng.randrange(1, 3 ** 8) for n in range(1, 9) if n % 3 != 0}
-    f = series_from_int_coeffs(R, terms, 9)
-    assert f.derivative().integrate().eq(f)
-
-
-def test_integrate_raises_on_inexact_division():
-    f = series_from_int_coeffs(R, {2: 1}, 5)  # X^2 -> X^3/3 not integral
-    with pytest.raises(PrecisionLossError):
-        f.integrate()
+def test_divexact_int_raises_on_inexact_division():
+    # a / (p^v u) needs p^v | a, and is (a / p^v) u^-1 mod p^(N - v)
+    for a, n in ((1, 3), (18, 27), (3 ** 7 + 9, 3 ** 3 * 2)):
+        with pytest.raises(PrecisionLossError):
+            R.divexact_int(a, n)
+    for a, n in ((18, 6), (3 ** 5 * 7, 45), (-27, 54), (5, 7), (3 ** 8 + 3, 3)):
+        v = _vp(n, 3)
+        q = R.divexact_int(a, n)
+        assert 0 <= q < 3 ** (8 - v) and (q * n - a) % 3 ** 8 == 0, (a, n)
 
 
 @pytest.mark.parametrize("p,fdict", [(2, {1: 2, 2: 1}), (2, {1: 2, 4: 1}),
@@ -191,12 +189,6 @@ def test_reduce_mod_p_into_extension():
 def test_quot_ring_requires_monic_modulus():
     with pytest.raises(ValueError):
         QuotRing(IntModRing(3, 6), [1, 2])
-
-
-def test_series_json():
-    f = series_from_int_coeffs(R, {1: 2, 4: 5}, 6)
-    d = f.to_json()
-    assert d["vars"] == 1 and d["Dmax"] == 6 and [[4], 5] in d["terms"]
 
 
 # -- the lazy product kernel against the per-pair loop it replaced ---------
@@ -390,10 +382,10 @@ def test_linear_ops_match_reference_hypothesis(kind, p, nvars, dmax, extra, na, 
 def test_linear_ops_cancel_and_truncate():
     ring = IntModRing(3, 4)
     x = series_var(ring, 1, 6, 0)
-    f = series_const(ring, 1, 6, 1).add(x.scale_int(5))
+    f = _const(ring, 1, 6, 1).add(x.scale_int(5))
     assert f.sub(f).is_zero() and f.add(f.neg()).is_zero()
     # 27 + 54 = 81 = 0 mod 3^4: the X coefficient cancels
-    a, b = x.scale_int(27).add(series_const(ring, 1, 6, 1)), x.scale_int(54)
+    a, b = x.scale_int(27).add(_const(ring, 1, 6, 1)), x.scale_int(54)
     _assert_linear_ops_match(a, b)
     assert set(a.add(b).terms) == {(0,)}
     # terms of a wider operand above the left Dmax are dropped
@@ -409,7 +401,7 @@ def test_mul_empty_operands_and_dmax_zero():
         f = _random_series(ring, draw, 2, 4, 6, rng)
         empty = TruncSeries(ring, 2, 4)
         assert f.mul(empty).is_zero() and empty.mul(f).is_zero()
-        a, b = series_const(ring, 2, 0, draw()), _random_series(ring, draw, 2, 0, 3, rng)
+        a, b = _const(ring, 2, 0, draw()), _random_series(ring, draw, 2, 0, 3, rng)
         _assert_identical(a.mul(b), _reference_mul(a, b))
         assert set(a.mul(b).terms) <= {(0, 0)}
 
@@ -417,10 +409,10 @@ def test_mul_empty_operands_and_dmax_zero():
 def test_mul_drops_cancelled_terms():
     ring = IntModRing(3, 4)
     x = series_var(ring, 1, 6, 0)
-    one = series_const(ring, 1, 6, 1)
+    one = _const(ring, 1, 6, 1)
     # (1 + X)(1 - X) = 1 - X^2 and 9X * 9 = 81X = 0 mod 3^4
     assert set(one.add(x).mul(one.sub(x)).terms) == {(0,), (2,)}
-    assert x.scale_int(9).mul(series_const(ring, 1, 6, 9)).is_zero()
+    assert x.scale_int(9).mul(_const(ring, 1, 6, 9)).is_zero()
 
 
 def test_mul_unram_mixed_precision():
@@ -429,8 +421,8 @@ def test_mul_unram_mixed_precision():
     x = series_var(ring, 1, 4, 0)
     # 5^5 (prec 6) * 5^3: the product is 0 at precision 6 and still lowers
     # the X coefficient's precision to 6, as the per-pair loop did
-    a = series_const(ring, 1, 4, ctx.from_int(5 ** 5, prec=6))
-    b = series_const(ring, 1, 4, ctx.from_int(5 ** 3)).add(x)
+    a = _const(ring, 1, 4, ctx.from_int(5 ** 5, prec=6))
+    b = _const(ring, 1, 4, ctx.from_int(5 ** 3)).add(x)
     prod = a.mul(b)
     _assert_identical(prod, _reference_mul(a, b))
     assert set(prod.terms) == {(1,)} and prod.terms[(1,)].prec == 6
@@ -488,7 +480,7 @@ def _reference_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
         acc = acc.mul(g)
         c = f.coeff((d,))
         if not ring.is_zero(c):
-            acc = acc.add(series_const(ring, g.nvars, g.dmax, c))
+            acc = acc.add(_const(ring, g.nvars, g.dmax, c))
     return acc
 
 
@@ -497,10 +489,10 @@ def _reference_substitute_two(F: TruncSeries, u: TruncSeries, v: TruncSeries) ->
     ring = u.ring
     du = max((e[0] for e in F.terms), default=0)
     dv = max((e[1] for e in F.terms), default=0)
-    u_pows = [series_const(ring, u.nvars, u.dmax, ring.one())]
+    u_pows = [_const(ring, u.nvars, u.dmax, ring.one())]
     for _ in range(du):
         u_pows.append(u_pows[-1].mul(u))
-    v_pows = [series_const(ring, v.nvars, v.dmax, ring.one())]
+    v_pows = [_const(ring, v.nvars, v.dmax, ring.one())]
     for _ in range(dv):
         v_pows.append(v_pows[-1].mul(v))
     acc = TruncSeries(ring, u.nvars, u.dmax)
@@ -514,7 +506,7 @@ def _reference_flat(f: TruncSeries, gens: list[TruncSeries]) -> TruncSeries:
     like = gens[0]
     acc = TruncSeries(like.ring, like.nvars, f.dmax)
     for e, c in f.terms.items():
-        term = series_const(like.ring, like.nvars, f.dmax, like.ring.one())
+        term = _const(like.ring, like.nvars, f.dmax, like.ring.one())
         for g, a in zip(gens, e):
             term = term.mul(g.pow(a))
         acc = acc.add(term.scale(c))
@@ -638,7 +630,7 @@ def test_substitution_rejects_a_constant_term_and_other_rings():
     F = TruncSeries(ring, 2, 5, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     with pytest.raises(ValueError):
         compose_univariate(f, g)
-    for u, v in ((x.add(series_const(ring, 2, 5, 3)), y), (x, y.add(series_const(ring, 2, 5, 1)))):
+    for u, v in ((x.add(_const(ring, 2, 5, 3)), y), (x, y.add(_const(ring, 2, 5, 1)))):
         with pytest.raises(ValueError):
             substitute_two(F, u, v)
     quot = QuotRing(IntModRing(3, 4), [1, 0, 1])
@@ -648,7 +640,7 @@ def test_substitution_rejects_a_constant_term_and_other_rings():
 
 
 def _reference_eval_two_var(series: TruncSeries, x, y, ring: QuotRing):
-    """The old eval_two_var_in_quot: one product x^i y^j per term."""
+    """A two-variable series at (x, y): one product x^i y^j per term."""
     xp, yp = [ring.one()], [ring.one()]
     for _ in range(max((e[0] for e in series.terms), default=0)):
         xp.append(ring.mul(xp[-1], x))
@@ -674,7 +666,8 @@ def test_quot_evaluation_matches_the_term_by_term_sum(p, N, deg, dmax, tuples, s
     coeff_ring = ring if tuples else base
     x, y = (tuple(rng.randrange(base.pN) for _ in range(deg)) for _ in range(2))
     F = _random_series(coeff_ring, draw, 2, dmax, rng.randint(0, 12), rng)
-    assert eval_two_var_in_quot(F, x, y, ring) == _reference_eval_two_var(F, x, y, ring)
+    assert _horner_in_quot(_rows_in_quot(F, y, ring), x, ring) == \
+        _reference_eval_two_var(F, x, y, ring)
     f = TruncSeries(coeff_ring, 2, dmax, {(i, 0): c for (i, _), c in F.terms.items()})
     g = TruncSeries(coeff_ring, 1, dmax, {(i,): c for (i, _), c in f.terms.items()})
     assert eval_series_in_quot(g, x, ring) == _reference_eval_two_var(f, x, y, ring)
