@@ -42,6 +42,9 @@ threshold and fails on no figure.
     divalg.nrd              20 reduced norms of random units, (p, h, N) = (3, 4, 8)
     linalg.determinant      5 determinants of embedded random units, (p, h, N) = (2, 6, 8),
                             where the packed subset expansion has 64 states
+    linalg.determinant_h8   the same at (p, h, N) = (2, 8, 8): 256 states, past the size
+                            up to which the minors stay unreduced
+    divalg.j_embed          20 embeddings of random units, (p, h, N) = (3, 4, 8)
     divalg.mat_mul          20 products j(a) j(b) of embedded random units, (p, h, N) = (3, 4, 8)
     divalg.div_mul          20 products a b of random units, (p, h, N) = (3, 4, 8)
     divalg.div_inv          20 inverses of random units, (p, h, N) = (3, 4, 8)
@@ -161,10 +164,15 @@ def _nrd():
     return lambda: [nrd(a) for a in units]
 
 
-def _determinant():
-    units = _units(2, 6, 5)
+def _determinant(h: int = 6):
+    units = _units(2, h, 5)
     mats = [(j_embed(a), a.ctx) for a in units]
     return lambda: [determinant(m, ctx) for m, ctx in mats]
+
+
+def _j_embed():
+    units = _units()
+    return lambda: [j_embed(a) for a in units]
 
 
 def _mat_mul():
@@ -200,6 +208,8 @@ LAYERS = {
     "domain.lie_act": _lie_act,
     "divalg.nrd": _nrd,
     "linalg.determinant": _determinant,
+    "linalg.determinant_h8": lambda: _determinant(8),
+    "divalg.j_embed": _j_embed,
     "divalg.mat_mul": _mat_mul,
     "divalg.div_mul": _div_mul,
     "divalg.div_inv": _div_inv,

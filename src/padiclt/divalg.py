@@ -8,10 +8,11 @@ with basis {1, Pi^(h-1), ..., Pi}; the reduced norm is det(j(.)).
 
 j_embed, mat_mul and div_mul work on integer coordinates, as
 linalg.determinant does.  sigma^r is one product with the cached matrix
-padics._frobenius_rows(ctx, r, .).  mat_mul and div_mul sum the packed
-products (see the padics module docstring) of each output coefficient,
-reduce all sums once mod (Phi, p^top), top the largest input precision, and
-cut each coefficient to its own precision q <= top.  This equals the
+padics._frobenius_rows(ctx, r, .); j_embed applies it to all h coefficients
+at once through its packed columns, padics._frobenius_columns.  mat_mul and
+div_mul sum the packed products (see the padics module docstring) of each
+output coefficient, reduce all sums once mod (Phi, p^top), top the largest
+input precision, and cut each coefficient to its own precision q <= top.  This equals the
 one-scalar-operation-per-step loops, coordinates and precision both, for
 these precisions q:
 
@@ -35,6 +36,7 @@ from .padics import (
     NonUnitError,
     PadicScalar,
     UnramContext,
+    _frobenius_columns,
     _frobenius_rows,
     _pack,
     _reduce_packed,
@@ -171,28 +173,31 @@ def j_embed(a: DivElem) -> list[list[PadicScalar]]:
     sigma^r(lambda_{h-r}) in column 0, sigma^r(lambda_{c-r}) for r <= c and
     p*sigma^r(lambda_{h+c-r}) for r > c.  Each entry keeps the precision of
     its coefficient.
+
+    sigma^r acts on all h coefficients in one sum of e products: coordinate k
+    of every coefficient packs into one int, one slot per coefficient, and
+    column k of sigma^r mod p^top packs with a stride of h slots, so slot
+    (m h + i) of the sum is coordinate m of sigma^r(lambda_i), unreduced and
+    below e p^(2 top).  Each slot is then cut to its coefficient's precision.
     """
     ctx = a.ctx
     h, p = ctx.e, ctx.p
     coeffs = a.coeffs
     pns = [p ** x.prec for x in coeffs]
-    # sigma^r mod p^top, cut to each coefficient's own p^prec below
     top = max(x.prec for x in coeffs)
-    mat = []
-    for r in range(h):
-        rows = _frobenius_rows(ctx, r, top)[1] if r else None
+    width = (h * p ** (2 * top)).bit_length()
+    stride, mask = h * width, (1 << width) - 1
+    inputs = [_pack(col, width) for col in zip(*(x.coords for x in coeffs))]
+    mat = [[coeffs[0]] + [PadicScalar(ctx, tuple([x * p % pn for x in y.coords]), y.prec)
+                          for y, pn in zip(coeffs[1:], pns[1:])]]
+    for r in range(1, h):
+        images = sum(map(mul, _frobenius_columns(ctx, r, top, stride), inputs))
         row = []
         for c in range(h):
             i = (c - r) % h
-            lam, pn = coeffs[i], pns[i]
-            k = p if c and (r == 0 or r > c) else 1
-            v = lam.coords
-            if rows:
-                v = [sum(map(mul, m, v)) for m in rows]
-            elif k == 1:
-                row.append(lam)
-                continue
-            row.append(PadicScalar(ctx, tuple([x * k % pn for x in v]), lam.prec))
+            pn, k = pns[i], p if 0 < c < r else 1
+            coords = [(images >> s & mask) * k % pn for s in range(i * width, h * stride, stride)]
+            row.append(PadicScalar(ctx, tuple(coords), coeffs[i].prec))
         mat.append(row)
     return mat
 

@@ -25,8 +25,9 @@ for the returned basis.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 
 from .padics import (
     ContextMismatchError,
@@ -198,18 +199,50 @@ def kernel_basis(rows: list[list[PadicScalar]], ncols: int, ctx: UnramContext,
     return KernelResult(basis, max_pivot_v, max_pivot_v <= prec // 2)
 
 
+@lru_cache(maxsize=None)
+def _subset_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each column subset S of an n x n matrix, the pairs (S | {c}, 2c + sign)
+    over the columns c not in S: sign 1 when placing row |S| at column c adds an
+    odd number of inversions, |S| minus the columns of S below c."""
+    steps = []
+    for subset in range(1 << n):
+        row, below, out = bin(subset).count("1"), 0, []
+        for c in range(n):
+            if subset >> c & 1:
+                below += 1
+            else:
+                out.append((subset | 1 << c, 2 * c + (row - below) % 2))
+        steps.append(tuple(out))
+    return tuple(steps)
+
+
+# Up to this size the minors stay unreduced through every row: one reduction of
+# the full minor costs less than one per row.  Past it the unreduced slots grow
+# as (p^q)^n and the products of wide ints dominate.  Determinants of embedded
+# units (2 vCPUs, Python 3.11): deferring was 1.4-1.6x faster at n = 2..5, about even
+# at n = 6, and 2.0x, 2.7x and 2.5x slower at (p, n, q) = (3, 7, 8), (2, 8, 8)
+# and (3, 8, 8).
+_DEFER_MAX_N = 6
+
+
 def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScalar:
     """Division-free determinant by expansion over column subsets.
 
     The value of each state, the minor on the first |S| rows and the columns
     of S, has the one precision q of the result, the least precision of any
-    entry.  Entries are reduced mod p^q and packed once (see the padics module
-    docstring), with (-v) mod p^q for the terms that enter with a minus sign,
-    so no slot goes negative.  Each level sums, per new subset, the packed
-    products of the states it extends with their new entries, at most n of
-    them, and reduces the sums once mod (Phi, p^q); states stay packed between
-    levels.  The result equals one scalar_mul and one scalar_add per term at
-    precision q, coordinates and precision both.
+    entry.  Each entry is reduced mod p^q and packed once (see the padics
+    module docstring); a term that enters with a minus sign takes the packed
+    complement p^q - v instead, so no slot goes negative.  Each level sums,
+    per new subset, the packed products of the states it extends with their
+    new entries.
+
+    For n <= _DEFER_MAX_N no level is reduced: the full minor is a polynomial
+    of degree n(e-1) in x, and each of its n(e-1)+1 slots sums at most
+    n! e^(n-1) products of n coordinates of at most p^q (a complement can be
+    p^q itself).  Those slots are folded mod the monic Phi over Z and cut mod
+    p^q once, at the end.  For larger n the sums are reduced mod (Phi, p^q)
+    after every level, as padics does.  Both equal one scalar_mul and one
+    scalar_add per term at precision q, coordinates and precision both.
     """
     n = len(matrix)
     if not n:
@@ -217,30 +250,43 @@ def determinant(matrix: list[list[PadicScalar]], ctx: UnramContext) -> PadicScal
     p, e, modulus = ctx.p, ctx.e, ctx.modulus
     q = min(x.prec for row in matrix for x in row)
     pq = p ** q
-    width = _slot_width(n, e, pq)
-    # (+v, -v) mod p^q, packed, of every entry
-    signed = []
+    defer = n <= _DEFER_MAX_N
+    if defer:
+        width = (factorial(n) * e ** (n - 1) * pq ** n).bit_length()
+    else:
+        # a state below p^q times an entry up to p^q: the bound of p^q + 1
+        width = _slot_width(n, e, pq + 1)
+    full = _pack([pq] * e, width)
+    # entry (r, c) at index 2c (+v mod p^q, packed) and 2c + 1 (its complement)
+    rows = []
     for row in matrix:
         out = []
         for x in row:
             if x.ctx is not ctx and not x.ctx.same_ring(ctx):
                 raise ContextMismatchError("determinant: entry from another ring")
-            out.append((_pack([v % pq for v in x.coords], width),
-                        _pack([-v % pq for v in x.coords], width)))
-        signed.append(out)
-    # dp over subsets of columns: the packed minor on the first popcount(S) rows;
-    # a minor that is 0 mod (Phi, p^q) is dropped, as it adds nothing
-    dp = {0: 1 % pq}
-    for r in range(n):
-        sums: dict[int, int] = defaultdict(int)
+            v = _pack(x.coords if x.prec == q else [c % pq for c in x.coords], width)
+            out += (v, full - v)
+        rows.append(out)
+    steps = _subset_steps(n)
+    # the packed minor on the first popcount(S) rows, by column subset S; where
+    # the levels are reduced, a minor that is 0 mod (Phi, p^q) is dropped
+    dp = {0: 1}
+    for row in rows:
+        sums: dict[int, int] = {}
         for subset, packed in dp.items():
-            count_less = 0
-            for c in range(n):
-                bit = 1 << c
-                if subset & bit:
-                    count_less += 1
-                    continue
-                # inserting (row r, col c) adds r - count_less inversions
-                sums[subset | bit] += packed * signed[r][c][(r - count_less) % 2]
-        dp = _reduce_packed(sums, width, modulus, e, pq)
-    return PadicScalar(ctx, _unpack(dp.get((1 << n) - 1, 0), width, e), q)
+            for target, k in steps[subset]:
+                if target in sums:
+                    sums[target] += packed * row[k]
+                else:
+                    sums[target] = packed * row[k]
+        dp = sums if defer else _reduce_packed(sums, width, modulus, e, pq)
+    minor = dp.get((1 << n) - 1, 0)
+    if not defer:
+        return PadicScalar(ctx, _unpack(minor, width, e), q)
+    coeffs = list(_unpack(minor, width, n * (e - 1) + 1))
+    for d in range(len(coeffs) - 1, e - 1, -1):  # x^d = x^(d-e) (x^e - Phi)
+        c = coeffs[d] % pq
+        if c:
+            for k in range(e):
+                coeffs[d - e + k] -= c * modulus[k]
+    return PadicScalar(ctx, tuple([c % pq for c in coeffs[:e]]), q)

@@ -187,7 +187,8 @@ class UnramContext:
     N: int
     modulus: tuple[int, ...]
     frobenius: tuple[tuple[int, ...], ...]
-    # (k, prec) -> (p^prec, rows of the matrix of sigma^k mod p^prec); see frobenius()
+    # (k, prec) -> (p^prec, rows of the matrix of sigma^k mod p^prec), see frobenius();
+    # (k, prec, width) -> its packed columns, see _frobenius_columns()
     _frobenius_powers: dict = field(default_factory=dict, init=False, repr=False,
                                     compare=False)
 
@@ -438,19 +439,24 @@ def _residue_inverse(a: PadicScalar) -> PadicScalar:
 
 
 def scalar_inv(a: PadicScalar) -> PadicScalar:
-    """Newton lift of the residue-field inverse.  Requires v(a) = 0."""
+    """Newton lift of the residue-field inverse.  Requires v(a) = 0.
+
+    Each step x <- x (2 - a x) doubles the digits, on coordinate tuples; the
+    inverse mod p^prec is unique, so this is the lift at every precision.
+    """
     if a.valuation() != 0:
         raise NonUnitError("cannot invert: valuation > 0 or zero at precision")
     ctx = a.ctx
-    x = _residue_inverse(a)
+    p, e, modulus = ctx.p, ctx.e, ctx.modulus
+    x = _residue_inverse(a).coords
     n = 1
-    two = ctx.from_int(2, a.prec)
     while n < a.prec:
         n = min(2 * n, a.prec)
-        xl = x.at_precision(n)
-        al = a.at_precision(n)
-        x = scalar_mul(xl, scalar_sub(two.at_precision(n), scalar_mul(al, xl)))
-    return x.at_precision(a.prec)
+        pn = p ** n
+        ax = _coords_mul(a.coords, x, modulus, e, pn)
+        x = _coords_mul(x, ((2 - ax[0]) % pn,) + tuple([-c % pn for c in ax[1:]]),
+                        modulus, e, pn)
+    return PadicScalar(ctx, x, a.prec)
 
 
 def _frobenius_rows(ctx: UnramContext, k: int, prec: int) -> tuple[int, tuple]:
@@ -463,6 +469,16 @@ def _frobenius_rows(ctx: UnramContext, k: int, prec: int) -> tuple[int, tuple]:
         for _ in range(k - 1):
             power = [[sum(map(mul, row, col)) % pn for col in zip(*m)] for row in power]
         ctx._frobenius_powers[key] = (pn, tuple(tuple(x % pn for x in row) for row in power))
+    return ctx._frobenius_powers[key]
+
+
+def _frobenius_columns(ctx: UnramContext, k: int, prec: int, width: int) -> tuple[int, ...]:
+    """The columns of M^k mod p^prec (see _frobenius_rows), each packed into
+    `width`-bit slots, the top row in the top slot; cached on ctx."""
+    key = (k, prec, width)
+    if key not in ctx._frobenius_powers:
+        rows = _frobenius_rows(ctx, k, prec)[1]
+        ctx._frobenius_powers[key] = tuple(_pack(col, width) for col in zip(*rows))
     return ctx._frobenius_powers[key]
 
 
@@ -542,11 +558,15 @@ def make_context(p: int, e: int, N: int) -> UnramContext:
     )
     ctx0 = UnramContext(p, e, N, modulus, identity_cols)
 
-    # sigma(x) is the root of the modulus congruent to x^p mod p
-    xbar = ctx0.gen().at_precision(1)
-    start = xbar
-    for _ in range(p - 1):
-        start = scalar_mul(start, xbar)
+    # sigma(x) is the root of the modulus congruent to x^p mod p, taken by
+    # square-and-multiply
+    start, square, k = ctx0.one().at_precision(1), ctx0.gen().at_precision(1), p
+    while k:
+        if k & 1:
+            start = scalar_mul(start, square)
+        k >>= 1
+        if k:
+            square = scalar_mul(square, square)
     root = _lift_root_newton(ctx0, start)
 
     cols = []

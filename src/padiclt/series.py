@@ -235,7 +235,11 @@ class TruncSeries:
         self.dmax = dmax
         self.terms = {}
         if terms:
+            # Z/p^N coefficients are stored reduced, as every ring operation returns them
+            pN = ring.pN if isinstance(ring, IntModRing) else None
             for exp, c in terms.items():
+                if pN:
+                    c %= pN
                 if sum(exp) <= dmax and not ring.is_zero(c):
                     self.terms[exp] = c
 

@@ -324,6 +324,23 @@ def test_div_layer_matches_reference(p, h, N, mixed, seed):
     assert _mat_key(mat_mul(A, B)) == _mat_key(_reference_mat_mul(A, B))
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.sampled_from([1, 8, 32]),
+       st.integers(0, 2 ** 32))
+def test_j_embed_matches_reference_at_mixed_precisions(p, h, N, seed):
+    # every coefficient at its own precision, 0 and N included, so the slots of
+    # one packed Frobenius pass are cut to different powers of p
+    ctx = _context(p, h, N)
+    rng = random.Random(seed)
+    coeffs = []
+    for _ in range(h):
+        q = rng.randint(0, N)
+        coeffs.append(rng.choice([ctx.from_coords([p ** q - 1] * h, q),
+                                  ctx.random_element(rng, q), ctx.zero().at_precision(q)]))
+    a = DivElem(ctx, tuple(coeffs))
+    assert _mat_key(j_embed(a)) == _mat_key(_reference_j_embed(a))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("N", [1, 8, 32])
 def test_div_layer_matches_reference_at_the_widest_slot_sums(p, N):

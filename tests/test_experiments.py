@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from padiclt import experiments
+from padiclt import divalg, experiments
 from padiclt.domain import DomainFunc, Section, lie_act, monomial_section, monomials
 from padiclt.experiments import ExperimentConfig, run
 from padiclt.padics import make_context
@@ -73,3 +73,22 @@ def test_doubled_x12_fails_a_pinned_share_of_trials(monkeypatch):
     monkeypatch.setattr(experiments, "lie_act", _x12_doubled_at_a1_one)
     (check,) = run(ExperimentConfig("lie-bracket", p=3, h=3)).checks
     assert check.measured == {"trials": 3402, "ok": 3276} and not check.passed
+
+
+def test_j_homomorphism_embeds_each_element_once(monkeypatch):
+    # 200 pairs embed a, b and ab once each and take their three determinants;
+    # nrd-congruence embeds and takes the determinant of 60 more elements
+    counts = {"j_embed": 0, "determinant": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (divalg, experiments):
+        for name in counts:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report = run(ExperimentConfig("j-homomorphism", p=3, h=4, N=8, seed=1))
+    assert report.passed
+    assert counts == {"j_embed": 660, "determinant": 660}

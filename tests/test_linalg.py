@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -197,11 +198,17 @@ def _random_entry(ctx, rng, mixed):
     return ctx.random_element(rng, q)
 
 
+_context = functools.lru_cache(maxsize=None)(make_context)
+
+
+# n from 0 to 8 covers both sides of linalg._DEFER_MAX_N = 6; n >= 6 comes up
+# about one draw in seven, since the reference takes 2^n n products
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.sampled_from([1, 8, 32]),
-       st.integers(0, 5), st.booleans(), st.integers(0, 2 ** 32))
+       st.sampled_from(list(range(6)) * 3 + [6, 7, 8]), st.booleans(),
+       st.integers(0, 2 ** 32))
 def test_determinant_matches_reference(p, e, N, n, mixed, seed):
-    ctx = make_context(p, e, N)
+    ctx = _context(p, e, N)
     rng = random.Random(seed)
     mat = [[_random_entry(ctx, rng, mixed) for _ in range(n)] for _ in range(n)]
     assert determinant(mat, ctx).key() == _reference_determinant(mat, ctx).key()
@@ -211,12 +218,20 @@ def test_determinant_matches_reference(p, e, N, n, mixed, seed):
 def test_determinant_matches_reference_at_the_widest_slot_sum(p):
     # det [[t, t], [u, t]] = t^2 - t u, with t all coordinates p^N - 1 and u all
     # coordinates 1: both terms put e (p^N - 1)^2 into the middle slot, the bound
+    # when each level is reduced (u's complement is t)
     for e in range(1, 6):
         for N in (1, 8, 32):
             ctx = make_context(p, e, N)
             t, u = ctx.from_coords([p ** N - 1] * e), ctx.from_coords([1] * e)
             mat = [[t, t], [u, t]]
             assert determinant(mat, ctx).key() == _reference_determinant(mat, ctx).key()
+    # a checkerboard of t and 0 on both sides of linalg._DEFER_MAX_N: a 0 enters
+    # a negative term as its complement p^q, the widest packed value
+    for n in range(1, 9):
+        ctx = _context(p, 2, 8)
+        t = ctx.from_coords([p ** 8 - 1] * 2)
+        mat = [[ctx.zero() if (r + c) % 2 else t for c in range(n)] for r in range(n)]
+        assert determinant(mat, ctx).key() == _reference_determinant(mat, ctx).key()
 
 
 def test_determinant_of_empty_matrix_and_other_ring():

@@ -1,20 +1,26 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padiclt import padics
 from padiclt.padics import (
     ContextMismatchError,
     NonUnitError,
     PadicScalar,
+    UnramContext,
     _PRIME_BOUND,
     _coords_mul,
     _is_irreducible_mod_p,
     _is_prime,
+    _lift_root_newton,
     _pack,
     _reduce_packed,
+    _residue_inverse,
     _slot_width,
     _unpack,
     _vp,
@@ -171,6 +177,84 @@ def test_inverse_examples():
         scalar_inv(CTX32.from_int(3))
     with pytest.raises(NonUnitError):
         scalar_inv(CTX32.zero())
+
+
+def _reference_scalar_inv(a):
+    """The Newton lift on PadicScalars: one scalar_sub and two scalar_mul per step."""
+    ctx = a.ctx
+    x = _residue_inverse(a)
+    n = 1
+    two = ctx.from_int(2, a.prec)
+    while n < a.prec:
+        n = min(2 * n, a.prec)
+        xl = x.at_precision(n)
+        al = a.at_precision(n)
+        x = scalar_mul(xl, scalar_sub(two.at_precision(n), scalar_mul(al, xl)))
+    return x.at_precision(a.prec)
+
+
+_context = functools.lru_cache(maxsize=None)(make_context)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.sampled_from([1, 8, 32]),
+       st.integers(0, 2 ** 32))
+def test_scalar_inv_matches_reference(p, e, N, seed):
+    ctx = _context(p, e, N)
+    rng = random.Random(seed)
+    prec = rng.randint(1, N)
+    a = ctx.random_unit(rng).at_precision(prec)
+    if rng.random() < 0.3:  # all coordinates p^prec - 1, or 1 + p^(prec-1)
+        a = rng.choice([ctx.from_coords([p ** prec - 1] * e, prec),
+                        ctx.from_int(1 + p ** max(prec - 1, 1), prec)])
+    assert scalar_inv(a).key() == _reference_scalar_inv(a).key()
+
+
+def _reference_frobenius_matrix(p, e, N):
+    """The Frobenius matrix with the residue x^p taken by p - 1 products."""
+    ctx0 = UnramContext(p, e, N, make_context(p, e, N).modulus,
+                        tuple(tuple(int(i == j) for i in range(e)) for j in range(e)))
+    xbar = ctx0.gen().at_precision(1)
+    start = xbar
+    for _ in range(p - 1):
+        start = scalar_mul(start, xbar)
+    root = _lift_root_newton(ctx0, start)
+    cols, power = [], ctx0.one()
+    for _ in range(e):
+        cols.append(power.coords)
+        power = scalar_mul(power, root)
+    return tuple(cols)
+
+
+@pytest.mark.parametrize("p", [q for q in range(2, 50) if _is_prime(q)])
+def test_frobenius_matrix_matches_the_product_loop(p):
+    for e in range(2, 5):
+        assert make_context(p, e, 8).frobenius == _reference_frobenius_matrix(p, e, 8)
+
+
+def _reference_power(x, k):
+    acc = x.ctx.one().at_precision(x.prec)
+    for bit in bin(k)[2:]:
+        acc = scalar_mul(acc, acc)
+        if bit == "1":
+            acc = scalar_mul(acc, x)
+    return acc
+
+
+def test_make_context_takes_the_residue_power_in_log_p_products(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return scalar_mul(a, b)
+
+    monkeypatch.setattr(padics, "scalar_mul", counted)
+    p = 1_000_003
+    # at N = 1 there is no Newton lift; the e = 2 columns take 2 more products
+    ctx = make_context(p, 2, 1)
+    assert len(calls) <= 2 * math.log2(p)
+    x = ctx.gen()
+    assert frobenius(x) == _reference_power(x, p)
 
 
 def test_valuation_examples_and_properties():

@@ -186,6 +186,14 @@ def test_reduce_mod_p_into_extension():
     assert all(not c.is_zero_at_precision() for c in red.terms.values())
 
 
+def test_int_mod_series_stores_reduced_coefficients():
+    ring = IntModRing(3, 4)
+    f = TruncSeries(ring, 1, 5, {(1,): -1, (2,): 85, (3,): 81, (6,): 1})
+    assert f.terms == {(1,): 80, (2,): 4}
+    assert f.add(TruncSeries(ring, 1, 5)).terms == f.terms
+    assert f.eq(TruncSeries(ring, 1, 5, {(1,): 80, (2,): 4}))
+
+
 def test_quot_ring_requires_monic_modulus():
     with pytest.raises(ValueError):
         QuotRing(IntModRing(3, 6), [1, 2])
