@@ -36,6 +36,8 @@ threshold and fails on no figure.
                             (p, h, N) = (3, 3, 8), Dmax=6 (action-law's s = -2, D = 6)
     linalg.kernel_basis     the system of operator_kernel for x_01, x_02 at
                             (p, h, N) = (3, 3, 8), Dmax=8 (criterion 12's n-row kernel)
+    domain.operator_kernel  the whole operator_kernel for x_01, x_02, x_03 at
+                            (p, h, N) = (3, 4, 8), Dmax=8 (criterion 12's largest system)
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
     domain.lie_act          all 16 operators x_ij on a dense random section of twist 2,
                             (p, h, N) = (3, 4, 8), Dmax=7
@@ -135,6 +137,11 @@ def _kernel_basis():
     return lambda: kernel_basis(*args)
 
 
+def _operator_kernel():
+    ctx = make_context(3, 4, 8)
+    return lambda: domain.operator_kernel(ctx, 4, [(0, 1), (0, 2), (0, 3)], 0, 8)
+
+
 def _frobenius():
     ctx = make_context(3, 4, 8)
     rng = random.Random(2)
@@ -204,6 +211,7 @@ LAYERS = {
     "domain.gamma_act_h4": lambda: _gamma_act(4),
     "domain.den_power": _den_power,
     "linalg.kernel_basis": _kernel_basis,
+    "domain.operator_kernel": _operator_kernel,
     "padics.frobenius": _frobenius,
     "domain.lie_act": _lie_act,
     "divalg.nrd": _nrd,

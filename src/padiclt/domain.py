@@ -336,14 +336,19 @@ def lie_act(i: int, j: int, x: Section) -> Section:
     """
     f, s = x.func, x.twist
     ctx, dmax = f.ctx, f.dmax
+    zero = (0,) * ctx.e
+    powers: dict[int, int] = {}  # p^prec, once per precision met
     out = {}
     for a, c in f.terms.items():
         k = a[j - 1] if j else s - sum(a)
         if not k or (i and not j and sum(a) >= dmax):
             continue
-        pn = ctx.p ** c.prec
+        prec = c.prec
+        pn = powers.get(prec)
+        if pn is None:
+            pn = powers[prec] = ctx.p ** prec
         coords = tuple([v * k % pn for v in c.coords])
-        if any(coords):
+        if coords != zero:
             b = list(a)
             if j:
                 b[j - 1] -= 1
@@ -506,9 +511,7 @@ def operator_kernel(ctx: UnramContext, h: int, ops: list[tuple[int, int]],
                 row = raw.setdefault(key, {})
                 col = col_of[e]
                 row[col] = scalar_add(row[col], tc) if col in row else tc
-    zero = ctx.zero()
-    rows = [[raw[key].get(c, zero) for c in range(ncols)] for key in sorted(raw)]
-    result: KernelResult = kernel_basis(rows, ncols, ctx, ctx.N)
+    result: KernelResult = kernel_basis([raw[key] for key in sorted(raw)], ncols, ctx, ctx.N)
     funcs = []
     for vec in result.basis:
         terms = {basis_exps[k]: v for k, v in enumerate(vec) if not v.is_zero_at_precision()}

@@ -439,16 +439,45 @@ def exp_lie_weights(cfg: ExperimentConfig) -> list[CheckRecord]:
     return rec.records
 
 
+def _lie_table(ctx, h: int, s: int, ops, exps, table: dict) -> None:
+    """Add x_op(w^e phi_0^s) to `table` under (op, e), for each op and each e in
+    `exps`, as {e': k mod p^N}: the terms of lie_act on the monomial section
+    of coefficient 1, each checked to be an integer at precision N."""
+    for e in exps:
+        x = monomial_section(ctx, h, 7, e, s)
+        for op in ops:
+            img = {}
+            for b, c in lie_act(*op, x).func.terms.items():
+                if c.prec != ctx.N or any(c.coords[1:]):
+                    raise ValueError(f"x_{op[0]}{op[1]} of a monomial has the coefficient "
+                                     f"{c!r}, not an integer mod p^{ctx.N}")
+                img[b] = c.coords[0]
+            table[op, e] = img
+
+
+def _add_scaled(out: dict, f: dict, k: int, pn: int) -> None:
+    """out += k f for {monomial: integer mod pn} dicts, dropping what cancels."""
+    for b, c in f.items():
+        c = (out.get(b, 0) + k * c) % pn
+        if c:
+            out[b] = c
+        else:
+            out.pop(b, None)
+
+
 def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
     """[x_ij, x_kl] = d_jk x_il - d_li x_kj on the monomial sections of degree <= 5.
 
-    Each operator image is computed once per section: the h^2 images x_b(x),
-    and x_a(x_b(x)) and x_b(x_a(x)) for each unordered pair {a, b}.  Every
-    section here is a monomial at precision N and lie_act keeps precision
-    and Dmax, so the identity is checked exactly with its negative terms
-    moved across: x_a x_b x + d_li x_kj x = x_b x_a x + d_jk x_il x.  The
-    trial (b, a) is the same equation with its sides swapped, so one
-    comparison decides both.
+    Every operator is a monomial map with integer multipliers, so for each
+    twist lie_act is called once per operator on each monomial section that
+    occurs (degree <= 5, and their images), and its image is kept as a table
+    {monomial: integer mod p^N}.  The images x_b(x) are table entries, and
+    x_a(x_b(x)) is the entry of x_a on each term of x_b(x) scaled by its
+    integer, taken for each unordered pair {a, b}.  Every section here is a
+    monomial at precision N and lie_act keeps precision and Dmax, so the
+    identity is checked exactly with its negative terms moved across:
+    x_a x_b x + d_li x_kj x = x_b x_a x + d_jk x_il x.  The trial (b, a) is the
+    same equation with its sides swapped, so one comparison decides both.
 
     Size budget: 2 C(h+4, h-1) h^4 trials, at most LIE_BRACKET_TRIALS
     (h <= 5); a larger h is a config error.
@@ -460,21 +489,35 @@ def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
     ctx = make_context(cfg.p, h, cfg.N)
     t0 = time.perf_counter()
     ops = [(i, j) for i in range(h) for j in range(h)]
+    exps = monomials(h, 5)
+    pn = cfg.p ** cfg.N
     ok, trials = 0, 0
     for s in (0, 2):
-        for e in monomials(h, 5):
-            x = monomial_section(ctx, h, 7, e, s)
-            first = {b: lie_act(*b, x) for b in ops}
+        table: dict = {}
+        _lie_table(ctx, h, s, ops, exps, table)
+        images = {b for img in table.values() for b in img}
+        _lie_table(ctx, h, s, ops, sorted(images.difference(exps)), table)
+
+        def act(op, f):
+            out = {}
+            for b, k in f.items():
+                _add_scaled(out, table[op, b], k, pn)
+            return out
+
+        for e in exps:
+            first = {b: table[b, e] for b in ops}
             for n, a in enumerate(ops):
                 for b in ops[n:]:
                     (i, j), (k, l) = a, b
-                    ab = lie_act(i, j, first[b])
-                    ba = lie_act(k, l, first[a]) if b != a else ab
-                    lhs = ab.add(first[k, j]) if l == i else ab
-                    rhs = ba.add(first[i, l]) if j == k else ba
+                    ab = act(a, first[b])
+                    ba = act(b, first[a]) if b != a else dict(ab)
+                    if l == i:
+                        _add_scaled(ab, first[k, j], 1, pn)
+                    if j == k:
+                        _add_scaled(ba, first[i, l], 1, pn)
                     pair = 1 if b == a else 2
                     trials += pair
-                    if lhs.eq(rhs):
+                    if ab == ba:
                         ok += pair
     rec.add("gl-bracket", "[x_ij, x_kl] = d_jk x_il - d_li x_kj on sections",
             ok == trials, {"trials": trials, "ok": ok}, t0)
@@ -650,10 +693,18 @@ def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
 def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
     """Kernels of systems of Lie operators on the monomials of degree <= 8.
 
+    Domain: N >= 2 max_{k <= 8} v_p(k) (6 at p = 2, 2 at p = 3, 5, 7 and 1
+    beyond): d(w^k)/dw = k w^(k-1) pivots at valuation v_p(k), and a kernel
+    is reliable only with every pivot valuation at most N/2.
     Size budget: the largest system has C(h+7, h-1) monomial columns, at
     most KERNEL_COLUMNS (h <= 5); a larger h is a config error.
     """
     h = cfg.h
+    least_n = 2 * max(_vp(k, cfg.p) for k in range(1, 9))
+    if cfg.N < least_n:
+        raise ConfigInvalidError(
+            f"kernels at p = {cfg.p} needs N >= {least_n}, got N = {cfg.N}: d(w^k)/dw "
+            f"pivots at valuation v_p(k) for k <= 8, reliable only up to N/2")
     _check_budget(cfg, math.comb(h + 7, h - 1), KERNEL_COLUMNS, "needs {} monomial columns")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, h, cfg.N)
@@ -690,6 +741,12 @@ def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_lf_diagnostic(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """Domain: h >= 2, so that the growing section w_1^(s+1) phi_0^s has a
+    coordinate w_1."""
+    if cfg.h < 2:
+        raise ConfigInvalidError(
+            f"lf-diagnostic needs h >= 2, got h = {cfg.h}: its growing section is a "
+            "power of the coordinate w_1")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)

@@ -4,10 +4,12 @@ Elimination pivots on minimal valuation (ties: smallest column, then row)
 so that every division is by the entry of least valuation seen so far and
 the absolute-precision loss is bounded by the pivot valuations.
 
-kernel_basis eliminates over sparse rows of plain integer coordinates: a row
-is one precision plus a dict col -> (coords, valuation) holding only its
-nonzero entries.  One precision per row is exact, not an approximation.  The
-rows coming in each carry one precision (kernel_basis checks this).
+kernel_basis takes sparse rows, dicts col -> PadicScalar, and eliminates over
+sparse rows of plain integer coordinates: a row is one precision plus a dict
+col -> (coords, valuation) holding only its nonzero entries.  One precision
+per row is exact, not an approximation.  The entries of each row coming in
+carry one precision (kernel_basis checks this); a row with no entries takes
+the given one.
 Dividing a row of precision P by a pivot of valuation v lowers every entry
 to P - v; subtracting f times the pivot row from row r lowers every entry
 of r to min(P_r, P_pivot), because f comes from row r.  So each row keeps a
@@ -108,12 +110,14 @@ def _row_best(row: dict[int, tuple]) -> tuple[int, int] | None:
     return min(((v, c) for c, (_, v) in row.items() if v is not None), default=None)
 
 
-def kernel_basis(rows: list[list[PadicScalar]], ncols: int, ctx: UnramContext,
+def kernel_basis(rows: list[dict[int, PadicScalar]], ncols: int, ctx: UnramContext,
                  prec: int) -> KernelResult:
     """Right kernel of the matrix given by `rows` over the scalar ring.
 
-    Every entry of one row must carry the same precision (different rows may
-    differ); a row of mixed precision raises ValueError, and an entry of
+    Each row maps columns in range(ncols) to its entries; a column it leaves
+    out is 0.  The entries of one row must carry the same precision
+    (different rows may differ, and a row with no entries has precision
+    `prec`); a row of mixed precision raises ValueError, and an entry of
     another ring than `ctx` raises ContextMismatchError.  Pivots are chosen
     with minimal valuation; ties break toward the smallest column index
     (callers order columns graded-lexicographically), then the smallest row.
@@ -125,12 +129,11 @@ def kernel_basis(rows: list[list[PadicScalar]], ncols: int, ctx: UnramContext,
     # entry that is 0 at its precision but not reduced) never pivots
     ents: list[dict[int, tuple]] = []
     for row in rows:
-        entries = [row[c] for c in range(ncols)]
-        row_precs = {x.prec for x in entries}
+        row_precs = {x.prec for x in row.values()}
         if len(row_precs) > 1:
             raise ValueError(f"row of mixed precision {sorted(row_precs)}")
         ent = {}
-        for c, x in enumerate(entries):
+        for c, x in row.items():
             if x.ctx is not ctx and not x.ctx.same_ring(ctx):
                 raise ContextMismatchError("kernel_basis: entry from another ring")
             if any(x.coords):

@@ -401,39 +401,40 @@ def scalar_mul_int(a: PadicScalar, k: int) -> PadicScalar:
 
 
 def _residue_inverse(a: PadicScalar) -> PadicScalar:
-    """Inverse of the residue of `a` in F_{p^e}, via extended Euclid in F_p[x]."""
+    """Inverse of the residue of `a` in F_{p^e}, via extended Euclid in F_p[x].
+
+    The remainders are kept trimmed, so len(r) - 1 is the degree of r (-1 for 0).
+    """
     ctx = a.ctx
     p = ctx.p
     if ctx.e == 1:
         return ctx.from_int(pow(a.coords[0] % p, -1, p), 1)
 
-    def polydeg(f):
-        for d in range(len(f) - 1, -1, -1):
-            if f[d] % p:
-                return d
-        return -1
+    def trim(f):
+        while f and not f[-1]:
+            f.pop()
+        return f
 
-    r0 = [c % p for c in ctx.modulus]
-    r1 = [c % p for c in a.coords]
+    r0 = trim([c % p for c in ctx.modulus])
+    r1 = trim([c % p for c in a.coords])
     s0, s1 = [0], [1]
-    while polydeg(r1) > 0:
-        d0, d1 = polydeg(r0), polydeg(r1)
-        if d0 < d1:
+    while len(r1) > 1:
+        if len(r0) < len(r1):
             r0, r1, s0, s1 = r1, r0, s1, s0
             continue
-        lead = (r0[polydeg(r0)] * pow(r1[polydeg(r1)], -1, p)) % p
-        shift = polydeg(r0) - polydeg(r1)
-        for k in range(len(r1)):
-            if r1[k]:
-                r0[k + shift] = (r0[k + shift] - lead * r1[k]) % p
+        lead = (r0[-1] * pow(r1[-1], -1, p)) % p
+        shift = len(r0) - len(r1)
+        for k, x in enumerate(r1):
+            if x:
+                r0[k + shift] = (r0[k + shift] - lead * x) % p
+        trim(r0)
         s0 = s0 + [0] * (len(s1) + shift - len(s0))
         for k in range(len(s1)):
             if s1[k]:
                 s0[k + shift] = (s0[k + shift] - lead * s1[k]) % p
-    d = polydeg(r1)
-    if d < 0:
+    if not r1:
         raise NonUnitError("zero residue has no inverse")
-    c_inv = pow(r1[d], -1, p)
+    c_inv = pow(r1[0], -1, p)
     inv = [(c_inv * x) % p for x in s1]
     return ctx.from_coords(inv, 1)
 

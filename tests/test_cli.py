@@ -131,6 +131,20 @@ def test_period_convergence_exits_2_outside_its_domain_and_budget():
         run(ExperimentConfig("period-convergence", h=2, nmax=3))
 
 
+def test_kernels_and_lf_diagnostic_exit_2_outside_their_domains(capsys):
+    # kernels needs N >= 2 max_{k <= 8} v_p(k): 6 at p = 2, 2 at p = 3 and 5, 1 at p = 11
+    for args in (["--p", "2", "--N", "5"], ["--p", "3", "--N", "1"], ["--p", "5", "--N", "1"]):
+        assert main(["run", "kernels", *args]) == 2, args
+        assert "needs N >=" in capsys.readouterr().err
+    for args in (["--p", "2", "--N", "6"], ["--p", "11", "--N", "1"]):
+        assert main(["run", "kernels", *args]) == 0, args
+    # lf-diagnostic's growing section is a power of w_1
+    assert main(["run", "lf-diagnostic", "--h", "1"]) == 2
+    assert "needs h >= 2" in capsys.readouterr().err
+    with pytest.raises(ConfigInvalidError, match="needs h >= 2"):
+        run(ExperimentConfig("lf-diagnostic", h=1))
+
+
 @pytest.mark.parametrize("dmax", [13, 16])
 def test_fn_sequence_compares_the_tail_beyond_dmax_12(dmax, tmp_path):
     # the tail f_n, n >= Dmax - 2, reaches past n = 10 from Dmax = 13 on

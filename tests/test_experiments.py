@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclt import divalg, experiments
 from padiclt.domain import DomainFunc, Section, lie_act, monomial_section, monomials
@@ -29,6 +31,30 @@ def _reference_lie_bracket(ctx, h, act):
                     trials += 1
                     if lhs.eq(rhs):
                         ok += 1
+    return trials, ok
+
+
+def _reference_lie_bracket_on_sections(ctx, h, act):
+    """(trials, ok) of the gl-bracket check on sections: the images x_b(x) once
+    per section, then x_a(x_b(x)) and x_b(x_a(x)) as two more calls of `act`
+    for each unordered pair {a, b}, compared with Section.eq."""
+    ops = [(i, j) for i in range(h) for j in range(h)]
+    ok, trials = 0, 0
+    for s in (0, 2):
+        for e in monomials(h, 5):
+            x = monomial_section(ctx, h, 7, e, s)
+            first = {b: act(*b, x) for b in ops}
+            for n, a in enumerate(ops):
+                for b in ops[n:]:
+                    (i, j), (k, l) = a, b
+                    ab = act(i, j, first[b])
+                    ba = act(k, l, first[a]) if b != a else ab
+                    lhs = ab.add(first[k, j]) if l == i else ab
+                    rhs = ba.add(first[i, l]) if j == k else ba
+                    pair = 1 if b == a else 2
+                    trials += pair
+                    if lhs.eq(rhs):
+                        ok += pair
     return trials, ok
 
 
@@ -92,3 +118,56 @@ def test_j_homomorphism_embeds_each_element_once(monkeypatch):
     report = run(ExperimentConfig("j-homomorphism", p=3, h=4, N=8, seed=1))
     assert report.passed
     assert counts == {"j_embed": 660, "determinant": 660}
+
+
+def _x10_tripled_on_w1w2(i, j, x):
+    """lie_act, but x_10 triples its image of the one monomial w_1 w_2."""
+    y = lie_act(i, j, x)
+    if (i, j) == (1, 0) and set(x.func.terms) == {(1, 1) + (0,) * (x.func.h - 3)}:
+        return y.scale_int(3)
+    return y
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 4), st.integers(1, 8),
+       st.sampled_from([lie_act, _x12_doubled_at_a1_one, _x01_moved_up, _x10_tripled_on_w1w2]))
+def test_bracket_tables_match_the_check_on_sections(p, h, N, act):
+    # N down to 1 makes products of multipliers vanish mod p^N, and the broken
+    # operators make some trials fail
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "lie_act", act)
+        (check,) = run(ExperimentConfig("lie-bracket", p=p, h=h, N=N)).checks
+    want = _reference_lie_bracket_on_sections(make_context(p, h, N), h, act)
+    assert (check.measured["trials"], check.measured["ok"]) == want
+
+
+def test_bracket_fails_when_lie_act_is_wrong_on_one_monomial(monkeypatch):
+    monkeypatch.setattr(experiments, "lie_act", _x10_tripled_on_w1w2)
+    (check,) = run(ExperimentConfig("lie-bracket", p=3, h=3, N=8)).checks
+    assert check.measured["ok"] < check.measured["trials"] == 3402 and not check.passed
+
+
+def test_bracket_rejects_an_image_coefficient_that_is_not_an_integer(monkeypatch):
+    def times_x(i, j, x):
+        # lie_act times the generator x of the residue extension, on x_11
+        y = lie_act(i, j, x)
+        ctx = x.func.ctx
+        return y.scale(ctx.from_coords([0, 1])) if (i, j) == (1, 1) else y
+
+    monkeypatch.setattr(experiments, "lie_act", times_x)
+    with pytest.raises(ValueError, match="not an integer"):
+        run(ExperimentConfig("lie-bracket", p=3, h=3, N=8))
+
+
+def test_bracket_calls_lie_act_once_per_operator_and_monomial(monkeypatch):
+    # 16 operators on the 56 monomials of degree <= 5 and the 28 of degree 6
+    # (their images under x_i0), for each of the two twists: 2,688 calls
+    calls = []
+
+    def counted(i, j, x):
+        calls.append((i, j))
+        return lie_act(i, j, x)
+
+    monkeypatch.setattr(experiments, "lie_act", counted)
+    report = run(ExperimentConfig("lie-bracket", p=3, h=4, N=8, seed=1))
+    assert report.passed and len(calls) <= 2720

@@ -60,6 +60,21 @@ def _reference_kernel_basis(rows, ncols, ctx, prec):
     return KernelResult(basis, max_pivot_v, max_pivot_v <= prec // 2)
 
 
+def _sparse(rows):
+    """Dense rows as the column dicts kernel_basis takes, zero entries included."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def _dense(rows, ncols, ctx, prec):
+    """Sparse rows as dense lists, each missing column a zero at the row's
+    precision (`prec` for a row with no entries)."""
+    out = []
+    for row in rows:
+        zero = ctx.zero().at_precision(next(iter(row.values())).prec if row else prec)
+        out.append([row.get(c, zero) for c in range(ncols)])
+    return out
+
+
 def _outcome(fn, rows, ncols, ctx, prec):
     """(basis keys, max pivot valuation, reliable), or the type of the raised exception."""
     try:
@@ -71,8 +86,10 @@ def _outcome(fn, rows, ncols, ctx, prec):
 
 
 def _assert_same(rows, ncols, ctx, prec):
+    """kernel_basis on sparse rows against the dense reference on the same matrix."""
     got = _outcome(kernel_basis, rows, ncols, ctx, prec)
-    assert got == _outcome(_reference_kernel_basis, rows, ncols, ctx, prec)
+    assert got == _outcome(_reference_kernel_basis, _dense(rows, ncols, ctx, prec), ncols,
+                           ctx, prec)
     return got
 
 
@@ -108,10 +125,25 @@ def _random_rows(ctx, rng, nrows, ncols):
 @given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2, 3]), st.integers(1, 7),
        st.integers(0, 7), st.integers(0, 7), st.integers(0, 2 ** 32))
 def test_kernel_basis_matches_reference(p, e, N, nrows, ncols, seed):
+    # each zero entry is left out of its row or kept, as all-zero coordinates at
+    # the row's precision; a row of zeros may become an empty dict
     ctx = make_context(p, e, N)
     rng = random.Random(seed)
-    rows = _random_rows(ctx, rng, nrows, ncols)
+    rows = [{c: x for c, x in row.items() if any(x.coords) or rng.random() < 0.5}
+            for row in _sparse(_random_rows(ctx, rng, nrows, ncols))]
     _assert_same(rows, ncols, ctx, rng.randint(1, N))
+
+
+def test_sparse_rows_empty_and_zero_at_precision():
+    ctx = make_context(3, 2, 8)
+    one, zero3 = ctx.one(), ctx.zero().at_precision(3)
+    # an empty row, a row holding only a zero at precision 3, and a row of
+    # precision 3 whose zero keeps the pivot's row at that precision
+    rows = [{}, {1: zero3}, {0: ctx.from_int(3).at_precision(3), 2: zero3}, {1: one}]
+    basis, max_v, reliable = _assert_same(rows, 3, ctx, 8)
+    assert len(basis) == 1 and (max_v, reliable) == (1, True)
+    assert _assert_same([{}, {}], 2, ctx, 5)[0] == [[((1, 0), 5), ((0, 0), 5)],
+                                                     [((0, 0), 5), ((1, 0), 5)]]
 
 
 def test_kernel_basis_matches_reference_on_operator_kernels(monkeypatch):
@@ -132,7 +164,7 @@ def test_kernel_basis_matches_reference_on_operator_kernels(monkeypatch):
 
 def test_kernel_basis_no_columns_and_no_rows():
     ctx = make_context(3, 2, 6)
-    assert _assert_same([[], []], 0, ctx, 6) == ([], 0, True)
+    assert _assert_same([{}, {}], 0, ctx, 6) == ([], 0, True)
     basis, max_v, reliable = _assert_same([], 3, ctx, 4)
     one, zero = ((1, 0), 4), ((0, 0), 4)
     assert basis == [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
@@ -141,7 +173,7 @@ def test_kernel_basis_no_columns_and_no_rows():
 
 def test_kernel_basis_unreliable_past_half_precision():
     ctx = make_context(3, 1, 8)
-    rows = [[ctx.from_int(3 ** 5), ctx.from_int(3 ** 6)]]
+    rows = [{0: ctx.from_int(3 ** 5), 1: ctx.from_int(3 ** 6)}]
     basis, max_v, reliable = _assert_same(rows, 2, ctx, 8)
     # the row divided by 3^5 keeps 8 - 5 = 3 digits: x0 = -3 x1 mod 3^3
     assert basis == [[((27 - 3,), 3), ((1,), 8)]]
@@ -151,16 +183,21 @@ def test_kernel_basis_unreliable_past_half_precision():
 def test_kernel_basis_rejects_mixed_precision_rows():
     ctx = make_context(5, 2, 8)
     with pytest.raises(ValueError):
-        kernel_basis([[ctx.one(), ctx.one().at_precision(5)]], 2, ctx, 8)
+        kernel_basis(_sparse([[ctx.one(), ctx.one().at_precision(5)]]), 2, ctx, 8)
     with pytest.raises(ValueError):
-        kernel_basis([[ctx.one(), ctx.zero().at_precision(3)]], 2, ctx, 8)
+        kernel_basis(_sparse([[ctx.one(), ctx.zero().at_precision(3)]]), 2, ctx, 8)
+    with pytest.raises(ValueError):  # a missing column carries no precision
+        kernel_basis([{0: ctx.one().at_precision(5), 2: ctx.zero().at_precision(3)}], 3,
+                     ctx, 8)
 
 
 def test_kernel_basis_rejects_other_ring():
     ctx = make_context(5, 2, 8)
     other = make_context(3, 2, 8)
     with pytest.raises(ContextMismatchError):
-        kernel_basis([[ctx.one(), other.one()]], 2, ctx, 8)
+        kernel_basis(_sparse([[ctx.one(), other.one()]]), 2, ctx, 8)
+    with pytest.raises(ContextMismatchError):
+        kernel_basis([{1: other.zero()}], 2, ctx, 8)
 
 
 def _reference_determinant(matrix, ctx):

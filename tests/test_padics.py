@@ -179,6 +179,62 @@ def test_inverse_examples():
         scalar_inv(CTX32.zero())
 
 
+def _reference_residue_inverse(a):
+    """Extended Euclid in F_p[x] on untrimmed lists, each degree rescanned on use."""
+    ctx = a.ctx
+    p = ctx.p
+    if ctx.e == 1:
+        return ctx.from_int(pow(a.coords[0] % p, -1, p), 1)
+
+    def polydeg(f):
+        for d in range(len(f) - 1, -1, -1):
+            if f[d] % p:
+                return d
+        return -1
+
+    r0 = [c % p for c in ctx.modulus]
+    r1 = [c % p for c in a.coords]
+    s0, s1 = [0], [1]
+    while polydeg(r1) > 0:
+        d0, d1 = polydeg(r0), polydeg(r1)
+        if d0 < d1:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        lead = (r0[polydeg(r0)] * pow(r1[polydeg(r1)], -1, p)) % p
+        shift = polydeg(r0) - polydeg(r1)
+        for k in range(len(r1)):
+            if r1[k]:
+                r0[k + shift] = (r0[k + shift] - lead * r1[k]) % p
+        s0 = s0 + [0] * (len(s1) + shift - len(s0))
+        for k in range(len(s1)):
+            if s1[k]:
+                s0[k + shift] = (s0[k + shift] - lead * s1[k]) % p
+    d = polydeg(r1)
+    if d < 0:
+        raise NonUnitError("zero residue has no inverse")
+    c_inv = pow(r1[d], -1, p)
+    inv = [(c_inv * x) % p for x in s1]
+    return ctx.from_coords(inv, 1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 3), (5, 2), (7, 3)])
+def test_residue_inverse_matches_reference_on_every_residue(p, e):
+    ctx = make_context(p, e, 3)
+    rng = random.Random(p * e)
+    for coords in itertools.product(range(p), repeat=e):
+        # the residue itself, and a lift of it at precision 3
+        lift = tuple(c + p * rng.randrange(p * p) for c in coords)
+        for a in (PadicScalar(ctx, coords, 1), PadicScalar(ctx, lift, 3)):
+            if not any(coords):
+                for inverse in (_residue_inverse, _reference_residue_inverse):
+                    with pytest.raises(NonUnitError):
+                        inverse(a)
+                continue
+            got = _residue_inverse(a)
+            assert got.key() == _reference_residue_inverse(a).key()
+            assert scalar_mul(got, a.at_precision(1)) == ctx.one().at_precision(1)
+
+
 def _reference_scalar_inv(a):
     """The Newton lift on PadicScalars: one scalar_sub and two scalar_mul per step."""
     ctx = a.ctx
@@ -341,7 +397,8 @@ def test_every_constructor_path_stores_reduced_coordinates():
         made += list(f.scale_int(p).scale_down(1).terms.values())
         made += [x for row in A for x in row] + [x for row in divalg.mat_mul(A, B) for x in row]
         made += list(divalg.div_mul(gamma, gamma).coeffs) + [linalg.determinant(A, dctx)]
-        made += [x for vec in linalg.kernel_basis(A[:1], len(A), dctx, N).basis for x in vec]
+        made += [x for vec in linalg.kernel_basis([dict(enumerate(A[0]))], len(A), dctx, N).basis
+                 for x in vec]
         bad = [x for x in made if not _reduced(x)]
         assert not bad, bad
 
