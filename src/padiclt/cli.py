@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("p", "h", "e", "N", "Dmax", "nmax"):
         runp.add_argument(f"--{name}", type=int, dest=name)
 
-    sub.add_parser("list", help="list experiment names")
+    sub.add_parser("list", help="list each experiment with its domain and size budgets")
 
     emitp = sub.add_parser("emit", help="re-emit a saved JSON report")
     emitp.add_argument("report", type=Path)
@@ -71,8 +71,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list":
-        for name in EXPERIMENTS:
-            print(name)
+        for name, record in EXPERIMENTS.items():
+            stated = [statement for _, statement in record.domain] + [
+                f"n <= {limit}: {message.format('n')}" for _, limit, message in record.budgets]
+            print(f"{name:<24}{'; '.join(stated)}".rstrip())
         return 0
 
     if args.command == "emit":

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -40,24 +41,24 @@ class ConfigInvalidError(ValueError):
 
 SCHEMA_VERSION = 1
 
-# Size budgets: the largest work a run may ask for (h = 5 fits both).
+# Size budgets, each stated with the size it bounds in EXPERIMENTS; times
+# are with Python 3.11 on a 2-vCPU x86-64 host.
 LIE_BRACKET_TRIALS = 200_000   # h = 5: 157,500 trials; h = 6: 653,184
-KERNEL_COLUMNS = 1_000         # monomials of degree <= 8; h = 5: 495; h = 6: 1,287
-# p-adic digits of the largest function the action experiments build, see
-# _action_digits; at N = 8, h <= 5 fits dheq-vs-matrix, action-law and
-# vs-stability, h <= 4 fits contraction and dist-norms, and action-law at
-# h = 2 fits N <= 68
+KERNEL_COLUMNS = 1_000         # h = 5: 495 columns; h = 6: 1,287
+LIE_WEIGHT_CALLS = 160_000     # h = 10: 150,150 calls in about 0.8 s; h = 11: 264,264
+LF_MONOMIALS = 10_000          # h = 7: 8,008 in about 0.3 s; h = 8: 19,448 in 0.8 s
+DIFFERENCE_DIGITS = 3_000      # N = 8: h = 5 has 2,800 in about 1 s, h = 6 6,048 in 3 s
+FN_STEPS = 40_000              # Dmax = 8: h = 7 makes 37,752 in about 0.7 s; h = 8 70,785
+# at N = 8, h <= 5 fits dheq-vs-matrix, action-law and vs-stability, h <= 4
+# fits contraction and dist-norms, and action-law at h = 2 fits N <= 68
 ACTION_DIGITS = 20_000
-# p-adic digits 2^h h N of the determinant behind Nrd: 2^h subset states, each
-# a minor of h coordinates of N digits; at N = 8, h <= 8 fits j-homomorphism
+# the determinant behind Nrd has 2^h subset states, each a minor of h
+# coordinates of N digits; at N = 8, h <= 8 fits j-homomorphism
 NRD_DIGITS = 20_000
-LEVEL_DEGREE = 80  # 6(p-1)+2 of level-structure: p = 13 gives 74, p = 17 gives 98
-# truncation degree of the formal-group series that height (p^3 + 2),
-# endomorphism-frobenius (p^h + 4) and gm-identities (Dmax) build: height
-# fits p <= 7, endomorphism-frobenius p = 2 to h = 8 and p = 7 to h = 3
+LEVEL_DEGREE = 80  # p = 13 gives 74, p = 17 gives 98
+# height fits p <= 7, endomorphism-frobenius p = 2 to h = 8 and p = 7 to h = 3
 FORMAL_DEGREE = 400
-# monomials of a_0..a_nmax in period-convergence, counted as in
-# exp_period_convergence: h = 2 fits nmax <= 21, h = 3 fits nmax <= 17
+# h = 2 fits nmax <= 21 (about 0.6 s), h = 3 fits nmax <= 17
 PERIOD_TERMS = 50_000
 
 
@@ -95,8 +96,7 @@ class ExperimentConfig:
             raise ConfigInvalidError("need coefficient degree e >= h")
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_json(d: dict) -> "ExperimentConfig":
@@ -131,18 +131,10 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def to_json_obj(self, with_timings: bool = False) -> dict:
-        checks = []
-        for c in self.checks:
-            d = {
-                "check_id": c.check_id,
-                "anchor": c.anchor,
-                "inputs_digest": c.inputs_digest,
-                "measured": c.measured,
-                "passed": c.passed,
-            }
-            if with_timings:
-                d["runtime_ms"] = c.runtime_ms
-            checks.append(d)
+        checks = [dict(vars(c)) for c in self.checks]
+        if not with_timings:
+            for d in checks:
+                del d["runtime_ms"]
         return {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
@@ -159,7 +151,7 @@ def _digest(cfg: ExperimentConfig, check_id: str, **extra) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_TRIAL_COUNTS = ("trials", "pairs", "comparisons")
+_TRIAL_COUNTS = ("trials", "pairs", "comparisons", "steps", "monomials")
 
 
 class _Recorder:
@@ -169,7 +161,7 @@ class _Recorder:
         self._end = 0.0  # perf_counter() at the end of the last record
 
     def add(self, check_id: str, anchor: str, passed: bool, measured, t0: float, **extra):
-        """Record one check; a check that counted zero trials, pairs or comparisons fails.
+        """Record one check; a check that counted zero of any _TRIAL_COUNTS fails.
 
         Its runtime runs from t0, or from the end of the previous record if
         that is later, so checks that share one t0 never count the same time
@@ -184,13 +176,19 @@ class _Recorder:
             round((self._end - start) * 1000, 3)))
 
 
-def _check_budget(cfg: ExperimentConfig, used: int, budget: int, what: str) -> None:
-    """Reject a config whose size `used` exceeds `budget`; `what` names the
-    size, with {} for `used`."""
-    if used > budget:
-        raise ConfigInvalidError(
-            f"{cfg.experiment} at p = {cfg.p}, h = {cfg.h}, N = {cfg.N}, Dmax = {cfg.Dmax}, "
-            f"nmax = {cfg.nmax} {what.format(used)}; the budget is {budget}")
+def _vp_factorial(n: int, p: int) -> int:
+    """v_p(n!) = sum_k floor(n / p^k), by Legendre's formula."""
+    return sum(n // p ** k for k in range(1, n.bit_length() + 1))
+
+
+def _period_terms(cfg: ExperimentConfig) -> int:
+    """T_0 + ... + T_nmax, where a_n of period-convergence has at most
+    T_n = T_(n-1) + ... + T_(n-h) monomials (T_0 = 1; the Fibonacci numbers
+    at h = 2); the sum stops once it passes PERIOD_TERMS."""
+    counts = [1]
+    while len(counts) <= cfg.nmax and sum(counts) <= PERIOD_TERMS:
+        counts.append(sum(counts[-cfg.h:]))
+    return sum(counts)
 
 
 def _action_digits(cfg: ExperimentConfig, degree: int) -> int:
@@ -208,13 +206,7 @@ def exp_j_homomorphism(cfg: ExperimentConfig) -> list[CheckRecord]:
     j(a), j(b) and j(ab) are built once per pair and give both checks; only
     the three determinants are kept, so the time of j-multiplicative includes
     them and nrd-multiplicative times only the comparisons.
-
-    Size budget: 2^h h N p-adic digits in the determinant, at most NRD_DIGITS
-    (h <= 8 at N = 8); a larger config is a config error.
     """
-    # past h = 15, 2^h alone exceeds the budget: cap h so the count stays small
-    _check_budget(cfg, 2 ** min(cfg.h, NRD_DIGITS.bit_length()) * cfg.h * cfg.N, NRD_DIGITS,
-                  "takes determinants of at least {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -281,13 +273,7 @@ def _matrix_oracle_gens(gamma, ctx, h, dmax):
 
 
 def exp_dheq_vs_matrix(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """gamma(w_i) against the embedded matrix, and the P-action on 50 members of P.
-
-    Size budget: functions of degree <= 6, at most ACTION_DIGITS p-adic
-    digits (h <= 5 at N = 8); a larger config is a config error.
-    """
-    _check_budget(cfg, _action_digits(cfg, 6), ACTION_DIGITS,
-                  "builds functions of {} p-adic digits")
+    """gamma(w_i) against the embedded matrix, and the P-action on 50 members of P."""
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -337,16 +323,8 @@ def exp_dheq_vs_matrix(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_action_law(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """gamma(gamma'(x)) = (gamma gamma')(x) and ||gamma(x)||_D = ||x||_D.
-
-    Size budget: functions of degree <= 6, and at h = 2 of degree <= 2N + 6
-    (the exact low-degree check), at most ACTION_DIGITS p-adic digits (h <= 5
-    at N = 8, N <= 68 at h = 2); a larger config is a config error.
-    """
+    """gamma(gamma'(x)) = (gamma gamma')(x) and ||gamma(x)||_D = ||x||_D."""
     dmax = 6
-    degree = cfg.h * cfg.N + (cfg.h - 1) * dmax if cfg.h == 2 else dmax
-    _check_budget(cfg, _action_digits(cfg, degree), ACTION_DIGITS,
-                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -478,13 +456,8 @@ def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
     identity is checked exactly with its negative terms moved across:
     x_a x_b x + d_li x_kj x = x_b x_a x + d_jk x_il x.  The trial (b, a) is the
     same equation with its sides swapped, so one comparison decides both.
-
-    Size budget: 2 C(h+4, h-1) h^4 trials, at most LIE_BRACKET_TRIALS
-    (h <= 5); a larger h is a config error.
     """
     h = cfg.h
-    _check_budget(cfg, 2 * math.comb(h + 4, h - 1) * h ** 4, LIE_BRACKET_TRIALS,
-                  "needs {} bracket trials")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, h, cfg.N)
     t0 = time.perf_counter()
@@ -540,7 +513,9 @@ def exp_finite_difference(cfg: ExperimentConfig) -> list[CheckRecord]:
         prev = None
         for k in (2, 3, 4, 5):
             quot, dx = lie_finite_difference(delta, x, k)
-            err = quot.sub(dx)
+            # the quotient keeps precision N - k: compare there, or a term of
+            # D_delta(x) that the quotient dropped as 0 would count as defect
+            err = quot.sub(Section(dx.func.at_precision(cfg.N - k), dx.twist))
             v = None if err.is_zero_at_precision() else err.func.gauss_valuation()
             if prev is not None:
                 trials += 1
@@ -586,8 +561,15 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
     d = 2
     # the second check compares f_n for n from Dmax - d to nmax
     nmax = max(10, dmax - d)
+    # f_n divides by n! and keeps N - v_p(n!) digits: compare f_n there, or a
+    # coefficient it dropped as 0 is held against the other side at precision N
+    prec = [cfg.N - _vp_factorial(n, cfg.p) for n in range(nmax + 1)]
+
+    def agree(f, g, n):
+        return f.at_precision(prec[n]).eq(g.at_precision(prec[n]))
+
     ok, trials = 0, 0
-    tails = []  # per twist: the (closed form, f_n) pairs the second check compares, and deg_d
+    tails = []  # per twist: the (n, closed form, f_n) the second check compares, and deg_d
     for s in (-1, 0, 2):
         terms = {e: ctx.random_element(rng) for e in monomials(cfg.h, dmax) if sum(e) >= d}
         f0 = DomainFunc(ctx, cfg.h, dmax, terms)
@@ -595,16 +577,17 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
             f0 = f0.add(domain_monomial(ctx, cfg.h, dmax, (d,) + (0,) * (cfg.h - 2),
                                         ctx.random_unit(rng)))
         recs, closed = fn_sequence(f0, d, s, nmax)
-        for a, b in zip(recs, closed):
+        for n, (a, b) in enumerate(zip(recs, closed)):
             trials += 1
-            if a.eq(b):
+            if agree(a, b, n):
                 ok += 1
         deg_d = DomainFunc(ctx, cfg.h, dmax, {e: c for e, c in f0.terms.items() if sum(e) == d})
-        tails.append(([(closed[n], recs[n]) for n in range(dmax - d, nmax + 1)], deg_d))
+        tails.append(([(n, closed[n], recs[n]) for n in range(dmax - d, nmax + 1)], deg_d))
         # homogeneous input is fixed
         trials += 1
         hom_rec, hom_closed = fn_sequence(deg_d, d, s, 3)
-        if all(g.eq(deg_d) for g in hom_rec + hom_closed):
+        if all(agree(r, deg_d, n) and agree(c, deg_d, n)
+               for n, (r, c) in enumerate(zip(hom_rec, hom_closed))):
             ok += 1
     rec.add("recursion-equals-closed-form",
             "f_n = (1/n)((d+n-s) f_{n-1} + x_00 f_{n-1}) matches (-1)^n C(i-1,n) scaling",
@@ -613,9 +596,9 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
     t0 = time.perf_counter()
     stab_ok, stab_trials = 0, 0
     for tail, deg_d in tails:
-        for closed_n, rec_n in tail:
+        for n, closed_n, rec_n in tail:
             stab_trials += 1
-            if closed_n.eq(deg_d) and rec_n.eq(deg_d):
+            if agree(closed_n, deg_d, n) and agree(rec_n, deg_d, n):
                 stab_ok += 1
     rec.add("stabilizes-to-lowest-slice",
             "f_n equals the degree-d part once n >= Dmax - d",
@@ -624,9 +607,6 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Size budget: functions of degree <= s + 2 = 7 (h <= 5 at N = 8)."""
-    _check_budget(cfg, _action_digits(cfg, 7), ACTION_DIGITS,
-                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -654,12 +634,6 @@ def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Domain: 2 <= h <= 8, so that the seed monomials have a coordinate w_1
-    and the degree-h seed fits under the truncation degree 8."""
-    if not 2 <= cfg.h <= 8:
-        raise ConfigInvalidError(
-            f"reachability needs 2 <= h <= 8, got h = {cfg.h}: its seeds need a "
-            "coordinate w_1, and one has degree h within the truncation degree 8")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     dmax = 8
@@ -691,21 +665,8 @@ def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Kernels of systems of Lie operators on the monomials of degree <= 8.
-
-    Domain: N >= 2 max_{k <= 8} v_p(k) (6 at p = 2, 2 at p = 3, 5, 7 and 1
-    beyond): d(w^k)/dw = k w^(k-1) pivots at valuation v_p(k), and a kernel
-    is reliable only with every pivot valuation at most N/2.
-    Size budget: the largest system has C(h+7, h-1) monomial columns, at
-    most KERNEL_COLUMNS (h <= 5); a larger h is a config error.
-    """
+    """Kernels of systems of Lie operators on the monomials of degree <= 8."""
     h = cfg.h
-    least_n = 2 * max(_vp(k, cfg.p) for k in range(1, 9))
-    if cfg.N < least_n:
-        raise ConfigInvalidError(
-            f"kernels at p = {cfg.p} needs N >= {least_n}, got N = {cfg.N}: d(w^k)/dw "
-            f"pivots at valuation v_p(k) for k <= 8, reliable only up to N/2")
-    _check_budget(cfg, math.comb(h + 7, h - 1), KERNEL_COLUMNS, "needs {} monomial columns")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, h, cfg.N)
     const = tuple([0] * (h - 1))
@@ -741,12 +702,6 @@ def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_lf_diagnostic(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Domain: h >= 2, so that the growing section w_1^(s+1) phi_0^s has a
-    coordinate w_1."""
-    if cfg.h < 2:
-        raise ConfigInvalidError(
-            f"lf-diagnostic needs h >= 2, got h = {cfg.h}: its growing section is a "
-            "power of the coordinate w_1")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -756,8 +711,7 @@ def exp_lf_diagnostic(cfg: ExperimentConfig) -> list[CheckRecord]:
     for s in (0, 1, 3):
         dim_vs = math.comb(s + cfg.h - 1, cfg.h - 1)
         for _ in range(3):
-            exps = [e for e in monomials(cfg.h, s)]
-            terms = {e: ctx.random_element(rng) for e in exps}
+            terms = {e: ctx.random_element(rng) for e in monomials(cfg.h, s)}
             f = DomainFunc(ctx, cfg.h, 10, terms)
             if f.is_zero_at_precision():
                 continue
@@ -785,16 +739,9 @@ def exp_lf_diagnostic(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_contraction(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Gamma_n contracts vD(gamma f - f) by n h, and b^alpha by |alpha| n h.
-
-    Size budget: functions of degree <= 14 at h = 2 and <= 10 beyond, at
-    most ACTION_DIGITS p-adic digits (h <= 4 at N = 8); a larger config is a
-    config error.
-    """
+    """Gamma_n contracts vD(gamma f - f) by n h, and b^alpha by |alpha| n h."""
     # the second check's degree budget keeps the truncation floor above |alpha| n h
     bdmax = 14 if cfg.h == 2 else 10
-    _check_budget(cfg, _action_digits(cfg, bdmax), ACTION_DIGITS,
-                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     t0 = time.perf_counter()
@@ -881,8 +828,6 @@ def exp_formal_group_axioms(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_gm_identities(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Size budget: series of degree Dmax <= FORMAL_DEGREE."""
-    _check_budget(cfg, cfg.Dmax, FORMAL_DEGREE, "truncates a formal-group series at degree {}")
     rec = _Recorder(cfg)
     p = cfg.p
     dmax = cfg.Dmax
@@ -892,7 +837,7 @@ def exp_gm_identities(cfg: ExperimentConfig) -> list[CheckRecord]:
     one_ok = G.mult(1).eq(series_var(G.ring, 1, dmax, 0))
     rec.add("one-is-identity", "[1](X) = X", one_ok, {}, t0)
     t0 = time.perf_counter()
-    expect = {(n,): math.comb(p, n) for n in range(1, p + 1)}
+    expect = {(n,): math.comb(p, n) for n in range(1, min(p, dmax) + 1)}
     rec.add("p-binomial", "[p](X) = (1+X)^p - 1 exactly",
             G.mult(p).eq(TruncSeries(G.ring, 1, dmax, expect)), {}, t0)
     t0 = time.perf_counter()
@@ -950,9 +895,6 @@ def exp_logarithm(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_height(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Size budget: the height-3 law's degree p^3 + 2 <= FORMAL_DEGREE (p <= 7)."""
-    _check_budget(cfg, cfg.p ** 3 + 2, FORMAL_DEGREE,
-                  "truncates a formal-group series at degree {}")
     rec = _Recorder(cfg)
     p = cfg.p
     t0 = time.perf_counter()
@@ -963,14 +905,10 @@ def exp_height(cfg: ExperimentConfig) -> list[CheckRecord]:
     ga_h = formal.height(formal.ga_module(p, p + 2, cfg.N).reduce())
     rec.add("additive-height", "the additive reduction has height infinity",
             ga_h == math.inf, {"height": "inf"}, t0)
-    heights = {}
-    ok = True
     for hh in (2, 3):
         t0 = time.perf_counter()
         M = formal.lt_construct(p, {1: p, p ** hh: 1}, p ** hh + 2, min(cfg.N, 6))
         got = formal.height(M.reduce())
-        heights[hh] = got
-        ok = ok and got == hh
         rec.add(f"lubin-tate-height-{hh}",
                 "[p] = g(X^(q^h)) with g'(0) != 0 read off the reduction",
                 got == hh, {"expected": hh, "got": got}, t0)
@@ -978,10 +916,8 @@ def exp_height(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Size budget: the group law's truncation degree 6(p-1)+2 <= LEVEL_DEGREE."""
     p = cfg.p
     dm = 6 * (p - 1) + 2
-    _check_budget(cfg, dm, LEVEL_DEGREE, "truncates its Lubin-Tate group at degree {}")
     rec = _Recorder(cfg)
     prec = 6
     t0 = time.perf_counter()
@@ -1014,10 +950,6 @@ def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Size budget: the law's degree p^h + 4 <= FORMAL_DEGREE."""
-    # past h = 9, p^h alone exceeds the budget: cap h so the degree stays small
-    _check_budget(cfg, cfg.p ** min(cfg.h, FORMAL_DEGREE.bit_length()) + 4, FORMAL_DEGREE,
-                  "truncates a formal-group series at degree at least {}")
     rec = _Recorder(cfg)
     p = cfg.p
     hh = cfg.h
@@ -1048,22 +980,7 @@ def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 
 def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
-    """Domain: h >= 2, so that a_n lives on the deformation base u_1..u_(h-1),
-    and nmax >= 2h, so that phi-differences-contract compares two differences.
-
-    Size budget: a_n has at most T_n = T_(n-1) + ... + T_(n-h) monomials
-    (T_0 = 1; the Fibonacci numbers at h = 2), and T_0 + ... + T_nmax is at
-    most PERIOD_TERMS (nmax = 21 at h = 2 runs in about 0.6 s with Python
-    3.11 on a 2-vCPU x86-64 host).
-    """
     p, h, nmax = cfg.p, cfg.h, cfg.nmax
-    if h < 2 or nmax < 2 * h:
-        raise ConfigInvalidError(
-            f"period-convergence needs h >= 2 and nmax >= 2h, got h = {h}, nmax = {nmax}")
-    counts = [1]
-    while len(counts) <= nmax and sum(counts) <= PERIOD_TERMS:
-        counts.append(sum(counts[-h:]))
-    _check_budget(cfg, sum(counts), PERIOD_TERMS, "recurses through at least {} monomials")
     rec = _Recorder(cfg)
     budget = periods.degree_budget(p, nmax)
     t0 = time.perf_counter()
@@ -1135,15 +1052,8 @@ def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
 
 def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
     """Norms of b-monomials, the signed expansion of (gamma - 1)^2, and two
-    evaluation orders of b^alpha on a section.
-
-    Size budget: functions of degree <= 2N + 5 at h = 2 and <= 12 beyond, at
-    most ACTION_DIGITS p-adic digits (h <= 4 at N = 8, N <= 69 at h = 2); a
-    larger config is a config error.
-    """
+    evaluation orders of b^alpha on a section."""
     W = cfg.h * cfg.N + 5 if cfg.h == 2 else 12
-    _check_budget(cfg, _action_digits(cfg, W), ACTION_DIGITS,
-                  "builds functions of {} p-adic digits")
     rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
@@ -1159,15 +1069,20 @@ def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
             norm_ok, {}, t0)
 
     t0 = time.perf_counter()
-    g1 = sample_gamma(ctx, 1, rng)
+    sq = g1 = div_one(ctx)
+    one = g1.key()
+    # gamma, gamma^2 and 1 must be three keys at precision N, or the expansion
+    # merges them; inside the domain some gamma in Gamma_1 keeps them apart
+    while len({one, g1.key(), sq.key()}) < 3:
+        g1 = sample_gamma(ctx, 1, rng)
+        sq = div_mul(g1, g1)
     g2 = sample_gamma(ctx, 1, rng)
     exp_ok = len(dist.expand_b_monomial(dist.BMonomialSet([g1], (0,)), ctx)) == 1
     mu = dist.expand_b_monomial(dist.BMonomialSet([g1], (2,)), ctx)
     keys = {g.key(): c for c, g in mu.pairs}
-    sq = div_mul(g1, g1)
     exp_ok = exp_ok and keys.get(sq.key()) == ctx.from_int(1) \
         and keys.get(g1.key()) == ctx.from_int(-2) \
-        and keys.get(div_one(ctx).key()) == ctx.from_int(1)
+        and keys.get(one) == ctx.from_int(1)
     rec.add("signed-expansion", "(gamma-1)^2 = d_{g^2} - 2 d_g + d_1",
             exp_ok, {}, t0)
 
@@ -1190,37 +1105,117 @@ def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
     return rec.records
 
 
+@dataclass(frozen=True)
+class _Record:
+    """An experiment, its domain as (holds(cfg), "condition: reason") pairs and
+    its budgets as (size(cfg), limit, message with {} for the size) triples,
+    each cheap at any config; `run` checks them before any work."""
+    func: Callable[[ExperimentConfig], list[CheckRecord]]
+    domain: tuple = ()
+    budgets: tuple = ()
+
+
+def _action(degree, stated: str) -> tuple:
+    """The budget of an action experiment whose largest function has degree D."""
+    return (lambda c: _action_digits(c, degree(c)), ACTION_DIGITS,
+            f"builds functions of {{}} = C(h-1+D, h-1) h N p-adic digits, D = {stated}")
+
+
+_FORMAL = "truncates a formal-group series at degree {} = "
+
 EXPERIMENTS = {
-    "j-homomorphism": exp_j_homomorphism,
-    "dheq-vs-matrix": exp_dheq_vs_matrix,
-    "action-law": exp_action_law,
-    "lie-weights": exp_lie_weights,
-    "lie-bracket": exp_lie_bracket,
-    "finite-difference": exp_finite_difference,
-    "fn-sequence": exp_fn_sequence,
-    "vs-stability": exp_vs_stability,
-    "reachability": exp_reachability,
-    "kernels": exp_kernels,
-    "lf-diagnostic": exp_lf_diagnostic,
-    "contraction": exp_contraction,
-    "formal-group-axioms": exp_formal_group_axioms,
-    "gm-identities": exp_gm_identities,
-    "logarithm": exp_logarithm,
-    "height": exp_height,
-    "level-structure": exp_level_structure,
-    "endomorphism-frobenius": exp_endomorphism_frobenius,
-    "period-convergence": exp_period_convergence,
-    "dist-norms": exp_dist_norms,
+    "j-homomorphism": _Record(exp_j_homomorphism, budgets=(
+        # past h = 15, 2^h alone exceeds the budget: cap h so the count stays small
+        (lambda c: 2 ** min(c.h, NRD_DIGITS.bit_length()) * c.h * c.N, NRD_DIGITS,
+         "takes determinants of at least {} = 2^min(h, 15) h N p-adic digits"),)),
+    "dheq-vs-matrix": _Record(exp_dheq_vs_matrix, (
+        (lambda c: c.h >= 2, "h >= 2: it acts on the coordinates w_1..w_(h-1)"),),
+        (_action(lambda c: 6, "6"),)),
+    "action-law": _Record(exp_action_law, budgets=(
+        _action(lambda c: 2 * c.N + 6 if c.h == 2 else 6,
+                "2N + 6 at h = 2 for the exact low-degree check, else 6"),)),
+    "lie-weights": _Record(exp_lie_weights, budgets=(
+        (lambda c: 3 * c.h * math.comb(c.h + 5, 6), LIE_WEIGHT_CALLS,
+         "applies Lie operators {} = 3 h C(h+5, 6) times"),)),
+    "lie-bracket": _Record(exp_lie_bracket, budgets=(
+        (lambda c: 2 * math.comb(c.h + 4, 5) * c.h ** 4, LIE_BRACKET_TRIALS,
+         "needs {} = 2 C(h+4, 5) h^4 bracket trials"),)),
+    "finite-difference": _Record(exp_finite_difference, (
+        (lambda c: c.h >= 2, "h >= 2: its derived-diagonal check acts on w_1"),
+        (lambda c: c.N >= 6, "N >= 6: the quotient at k <= 5 keeps precision N - k > 0")),
+        ((lambda c: _action_digits(c, 4), DIFFERENCE_DIGITS,
+          "acts on functions of {} = C(h+3, 4) h N p-adic digits"),)),
+    "fn-sequence": _Record(exp_fn_sequence, (
+        (lambda c: c.Dmax >= 2, "Dmax >= 2: f_0 has a term of degree d = 2"),
+        (lambda c: c.N > _vp_factorial(max(10, c.Dmax - 2), c.p),
+         "N > v_p(m!), m = max(10, Dmax - 2): f_m keeps N - v_p(m!) digits"),),
+        # C(h-1+Dmax, 64) is at most the monomial count once h - 1 and Dmax
+        # pass 64, and beyond every budget: the count stays cheap
+        ((lambda c: math.comb(c.h - 1 + c.Dmax, min(c.h - 1, c.Dmax, 64))
+          * (max(10, c.Dmax - 2) + 1), FN_STEPS,
+          "takes at least {} monomial steps, C(h-1+Dmax, h-1) in each of f_0..f_m"),)),
+    "vs-stability": _Record(exp_vs_stability, budgets=(_action(lambda c: 7, "s + 2 for s <= 5"),)),
+    "reachability": _Record(exp_reachability, (
+        (lambda c: c.h >= 2, "h >= 2: its seeds need a coordinate w_1"),
+        (lambda c: c.h <= 8, "h <= 8: its degree-h seed fits under the truncation degree 8"))),
+    "kernels": _Record(exp_kernels, (
+        (lambda c: c.N >= 2 * max(_vp(k, c.p) for k in range(1, 9)),
+         "N >= 2 max_{k<=8} v_p(k): d(w^k)/dw pivots at valuation v_p(k), "
+         "and a kernel is reliable only up to N/2"),),
+        ((lambda c: math.comb(c.h + 7, 8), KERNEL_COLUMNS,
+          "needs {} = C(h+7, 8) monomial columns"),)),
+    "lf-diagnostic": _Record(exp_lf_diagnostic, (
+        (lambda c: c.h >= 2, "h >= 2: its growing section is a power of the coordinate w_1"),),
+        ((lambda c: math.comb(c.h + 9, 10), LF_MONOMIALS, "spans {} = C(h+9, 10) monomials"),)),
+    "contraction": _Record(exp_contraction, budgets=(
+        _action(lambda c: 14 if c.h == 2 else 10, "14 at h = 2, else 10"),)),
+    "formal-group-axioms": _Record(exp_formal_group_axioms, budgets=(
+        (lambda c: max(20, c.p + 1), FORMAL_DEGREE, _FORMAL + "max(20, p + 1)"),)),
+    "gm-identities": _Record(exp_gm_identities, budgets=(
+        (lambda c: c.Dmax, FORMAL_DEGREE, _FORMAL + "Dmax"),)),
+    "logarithm": _Record(exp_logarithm),
+    "height": _Record(exp_height, budgets=(
+        (lambda c: c.p ** 3 + 2, FORMAL_DEGREE, _FORMAL + "p^3 + 2"),)),
+    "level-structure": _Record(exp_level_structure, budgets=(
+        (lambda c: 6 * (c.p - 1) + 2, LEVEL_DEGREE,
+         "truncates its Lubin-Tate group at degree {} = 6(p-1) + 2"),)),
+    "endomorphism-frobenius": _Record(exp_endomorphism_frobenius, budgets=(
+        # past h = 9, p^h alone exceeds the budget: cap h so the degree stays small
+        (lambda c: c.p ** min(c.h, FORMAL_DEGREE.bit_length()) + 4, FORMAL_DEGREE,
+         "truncates a formal-group series at degree {} = p^min(h, 9) + 4"),)),
+    "period-convergence": _Record(exp_period_convergence, (
+        (lambda c: c.h >= 2, "h >= 2: a_n lives on the deformation base u_1..u_(h-1)"),
+        (lambda c: c.nmax >= 2 * c.h,
+         "nmax >= 2h: phi-differences-contract compares two differences")),
+        ((_period_terms, PERIOD_TERMS, "recurses through at least {} monomials of a_0..a_nmax"),)),
+    "dist-norms": _Record(exp_dist_norms, (
+        (lambda c: c.N >= 2, "N >= 2: gamma = 1 mod p for every gamma in Gamma_1"),
+        (lambda c: c.p != 2 or c.N >= 3,
+         "N >= 3 at p = 2: gamma^2 = 1 mod 4 for every gamma in Gamma_1"),
+        (lambda c: c.p != 2 or c.h >= 2 or c.N >= 4,
+         "N >= 4 at p = 2 and h = 1: gamma^2 = 1 mod 8 for every gamma in 1 + 2Z_2")),
+        (_action(lambda c: 2 * c.N + 5 if c.h == 2 else 12,
+                 "2N + 5 at h = 2 for the exact low-degree check, else 12"),)),
 }
 
 
 def run(cfg: ExperimentConfig) -> Report:
+    """Run one experiment, once its config is valid and inside the record's
+    domain and budgets."""
     cfg.validate()
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigInvalidError(
-            f"unknown experiment {cfg.experiment!r}; see `list`")
-    checks = EXPERIMENTS[cfg.experiment](cfg)
-    return Report(cfg.experiment, cfg.to_json(), checks)
+    record = EXPERIMENTS.get(cfg.experiment)
+    if record is None:
+        raise ConfigInvalidError(f"unknown experiment {cfg.experiment!r}; see `list`")
+    where = (f"{cfg.experiment} at p = {cfg.p}, h = {cfg.h}, N = {cfg.N}, Dmax = {cfg.Dmax}, "
+             f"nmax = {cfg.nmax}")
+    for holds, statement in record.domain:
+        if not holds(cfg):
+            raise ConfigInvalidError(f"{where} needs {statement}")
+    for size, limit, message in record.budgets:
+        used = size(cfg)
+        if used > limit:
+            raise ConfigInvalidError(f"{where} {message.format(used)}; the budget is {limit}")
+    return Report(cfg.experiment, cfg.to_json(), record.func(cfg))
 
 
 def emit(report: Report, fmt: str = "json", with_timings: bool = False) -> bytes:

@@ -199,9 +199,7 @@ def gm_module(p: int, dmax: int, N: int = 8) -> FormalModule:
                            {(n,): ring.from_int(_binom_int(a, n))
                             for n in range(1, dmax + 1)})
 
-    fp = {n: _binom_int(p, n) for n in range(1, p + 1)}
-    return FormalModule(p, ring, F, dmax, builder, frobenius_poly=fp,
-                        work_data=(work, F_work))
+    return FormalModule(p, ring, F, dmax, builder, work_data=(work, F_work))
 
 
 def ga_module(p: int, dmax: int, N: int = 8) -> FormalModule:

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import math
+import os
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padiclt import experiments
 from padiclt.cli import main
@@ -18,9 +22,23 @@ from padiclt.series import TruncSeries
 
 def test_list_names_cover_the_registry(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out.split()
-    assert set(out) == set(EXPERIMENTS)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(EXPERIMENTS)
     assert len(EXPERIMENTS) == 20
+
+
+def test_list_prints_each_records_statements(capsys):
+    # the domain statements and budgets that run checks are what list prints
+    assert main(["list"]) == 0
+    lines = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()
+                 if " " in line)
+    assert "logarithm" not in lines  # no domain and no budget: the name alone
+    for name, record in EXPERIMENTS.items():
+        for _, statement in record.domain:
+            assert statement in lines[name] and ": " in statement, name
+        for _, limit, _ in record.budgets:
+            assert f"n <= {limit}: " in lines[name], name
+    assert "h >= 2: its seeds need a coordinate w_1" in lines["reachability"]
 
 
 def test_unknown_experiment_exits_2(capsys):
@@ -145,6 +163,82 @@ def test_kernels_and_lf_diagnostic_exit_2_outside_their_domains(capsys):
         run(ExperimentConfig("lf-diagnostic", h=1))
 
 
+def test_known_failures_pass_or_exit_2_with_their_reason(capsys):
+    # each failed or raised before its domain was stated or its check mended
+    for args, code, reason in (
+            (["finite-difference", "--h", "1"], 2, "needs h >= 2"),
+            (["dheq-vs-matrix", "--h", "1"], 2, "needs h >= 2"),
+            (["fn-sequence", "--p", "2"], 2, "needs N > v_p(m!)"),
+            (["fn-sequence", "--N", "2"], 2, "needs N > v_p(m!)"),
+            (["fn-sequence", "--p", "3", "--Dmax", "20"], 2, "needs N > v_p(m!)"),
+            (["finite-difference", "--N", "3"], 2, "needs N >= 6"),
+            (["dist-norms", "--N", "1"], 2, "needs N >= 2"),
+            (["dist-norms", "--p", "2", "--N", "2"], 2, "needs N >= 3 at p = 2"),
+            (["dist-norms", "--p", "2", "--h", "1", "--N", "3"], 2, "needs N >= 4 at p = 2"),
+            (["fn-sequence", "--p", "2", "--N", "9"], 0, ""),
+            (["fn-sequence", "--p", "2", "--N", "11", "--seed", "3"], 0, ""),
+            (["fn-sequence", "--p", "3", "--Dmax", "20", "--N", "9"], 0, ""),
+            (["finite-difference", "--p", "2", "--h", "3"], 0, ""),
+            (["dist-norms", "--p", "2", "--N", "3"], 0, ""),
+            (["dist-norms", "--p", "2", "--h", "1", "--N", "4"], 0, "")):
+        assert main(["run", *args, "--out", os.devnull]) == code, args
+        assert reason in capsys.readouterr().err, args
+
+
+# Budgets small enough that no drawn run takes long, and large enough that
+# every @example below runs its checks rather than exiting 2 on a budget.
+_FUZZ_LIMITS = {
+    "j-homomorphism": 400, "dheq-vs-matrix": 1_200, "action-law": 1_200, "lie-weights": 2_000,
+    "lie-bracket": 30_000, "finite-difference": 700, "fn-sequence": 1_000,
+    "vs-stability": 1_200, "kernels": 45, "lf-diagnostic": 300, "contraction": 1_200,
+    "formal-group-axioms": 40, "gm-identities": 40, "height": 40, "level-structure": 26,
+    "endomorphism-frobenius": 40, "period-convergence": 2_000, "dist-norms": 1_200,
+}
+_FUZZ_EXPERIMENTS = {
+    name: dataclasses.replace(record, budgets=tuple(
+        (size, _FUZZ_LIMITS[name], message) for size, _, message in record.budgets))
+    for name, record in EXPERIMENTS.items()}
+_DEFAULTS = dict(p=5, h=2, N=8, Dmax=8, nmax=6, seed=1)
+# the configs that failed, raised or ran long before their experiments
+# stated a domain or mended a check
+_KNOWN_FAILURES = [("finite-difference", dict(h=1)), ("dheq-vs-matrix", dict(h=1)),
+           ("fn-sequence", dict(p=2)), ("fn-sequence", dict(N=2)),
+           ("fn-sequence", dict(p=3, Dmax=20)), ("finite-difference", dict(p=2, h=3)),
+           ("finite-difference", dict(N=3)), ("dist-norms", dict(N=1)),
+           ("dist-norms", dict(p=2, N=3))]
+
+
+def test_fuzz_budgets_admit_every_example():
+    for name, kw in _KNOWN_FAILURES:
+        cfg = ExperimentConfig(name, **kw)
+        for size, limit, _ in _FUZZ_EXPERIMENTS[name].budgets:
+            assert size(cfg) <= limit, (name, kw)
+
+
+def _known_failure_examples(test):
+    for name, kw in reversed(_KNOWN_FAILURES):
+        test = example(name=name, **{**_DEFAULTS, **kw})(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(EXPERIMENTS)), p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+       h=st.sampled_from(range(1, 7)), N=st.sampled_from(range(1, 15)),
+       Dmax=st.sampled_from(range(1, 25)), nmax=st.sampled_from(range(25)),
+       seed=st.integers(0, 2 ** 32))
+@_known_failure_examples
+def test_every_config_passes_or_exits_2(name, p, h, N, Dmax, nmax, seed):
+    # the checks are exact, so an exit 1 is a fault of the program or of a
+    # domain statement; an exception escapes and fails the test
+    args = ["run", name, "--out", os.devnull]
+    for flag, value in (("p", p), ("h", h), ("N", N), ("Dmax", Dmax), ("nmax", nmax),
+                        ("seed", seed)):
+        args += [f"--{flag}", str(value)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "EXPERIMENTS", _FUZZ_EXPERIMENTS)
+        assert main(args) in (0, 2)
+
+
 @pytest.mark.parametrize("dmax", [13, 16])
 def test_fn_sequence_compares_the_tail_beyond_dmax_12(dmax, tmp_path):
     # the tail f_n, n >= Dmax - 2, reaches past n = 10 from Dmax = 13 on
@@ -155,12 +249,23 @@ def test_fn_sequence_compares_the_tail_beyond_dmax_12(dmax, tmp_path):
 
 
 def test_zero_trial_checks_fail(capsys):
-    # at h=1 there is no domain variable, so the action checks count no trials
-    rep = run(ExperimentConfig("dheq-vs-matrix", p=3, h=1))
-    zero = [c for c in rep.checks if c.measured.get("trials") == 0]
+    # at h=1 there is no domain variable, so the action checks count no trials;
+    # run rejects h = 1, so the experiment is called past its record here
+    checks = EXPERIMENTS["dheq-vs-matrix"].func(ExperimentConfig("dheq-vs-matrix", p=3, h=1))
+    zero = [c for c in checks if c.measured.get("trials") == 0]
     assert [c.check_id for c in zero] == ["dheq-matches-matrix", "p-action-norms"]
-    assert not any(c.passed for c in zero) and not rep.passed
-    assert main(["run", "dheq-vs-matrix", "--h", "1", "--p", "3"]) == 1
+    assert not any(c.passed for c in zero)
+    assert main(["run", "dheq-vs-matrix", "--h", "1", "--p", "3"]) == 2
+
+
+def test_zero_step_difference_quotient_fails(monkeypatch):
+    # a quotient equal to its limit ends each walk before the first step:
+    # "steps": 0 must fail like "trials": 0
+    monkeypatch.setattr(experiments, "lie_finite_difference", lambda delta, x, k: (x, x))
+    rep = run(ExperimentConfig("finite-difference", p=5, h=2))
+    first = rep.checks[0]
+    assert first.check_id == "difference-quotient-converges"
+    assert first.measured["steps"] == 0 and not first.passed
 
 
 def test_run_writes_deterministic_report(tmp_path):
