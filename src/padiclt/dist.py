@@ -53,13 +53,6 @@ class GroupRingElem:
     def __len__(self):
         return len(self.pairs)
 
-    def add(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(self.ctx, self.pairs + other.pairs)
-
-    def scale_int(self, k: int) -> "GroupRingElem":
-        from .padics import scalar_mul_int
-        return GroupRingElem(self.ctx, [(scalar_mul_int(c, k), g) for c, g in self.pairs])
-
 
 @dataclass
 class BMonomialSet:
@@ -119,28 +112,25 @@ def expand_b_monomial(B: BMonomialSet, ctx) -> GroupRingElem:
     return GroupRingElem(ctx, [(ctx.from_int(c), g) for c, g in pairs])
 
 
-def apply_group_ring(mu: GroupRingElem, x: Section, dmax: int | None = None) -> Section:
+def apply_group_ring(mu: GroupRingElem, x: Section) -> Section:
     """sum c_k gamma_k(x), the module action of a group-ring element."""
     acc = None
     for c, g in mu.pairs:
-        term = gamma_act(g, x, dmax).scale(c)
+        term = gamma_act(g, x).scale(c)
         acc = term if acc is None else acc.add(term)
     if acc is None:
         from .domain import DomainFunc
-        dm = x.func.dmax if dmax is None else dmax
-        return Section(DomainFunc(x.func.ctx, x.func.h, dm), x.twist)
+        return Section(DomainFunc(x.func.ctx, x.func.h, x.func.dmax), x.twist)
     return acc
 
 
-def apply_b_iterated(B: BMonomialSet, x: Section, dmax: int | None = None) -> Section:
+def apply_b_iterated(B: BMonomialSet, x: Section) -> Section:
     """Apply prod (gamma_i - 1)^alpha_i by iterating y -> gamma(y) - y.
 
     The rightmost factor acts first, matching operator composition in the
     expanded form.
     """
-    y = x if dmax is None else Section(
-        type(x.func)(x.func.ctx, x.func.h, dmax, dict(x.func.terms)), x.twist)
     for gamma_i, a in reversed(list(zip(B.gammas, B.alpha))):
         for _ in range(a):
-            y = gamma_act(gamma_i, y).sub(y)
-    return y
+            x = gamma_act(gamma_i, x).sub(x)
+    return x

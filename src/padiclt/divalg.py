@@ -47,12 +47,6 @@ from .padics import (
     scalar_mul_int,
 )
 
-# Composition order of the j-homomorphism, fixed by the pre-build oracle
-# (scripts/calibrate.py): "left" means j(a*b) = j(a) @ j(b).  The reversed
-# order fails on random pairs.
-J_COMPOSITION = "left"
-
-
 class DivElem:
     """Element of o_{B_h} in Pi-normal form over a degree-h context."""
 
@@ -240,10 +234,7 @@ def nrd(a: DivElem) -> PadicScalar:
 
 
 def sample_gamma(ctx: UnramContext, n: int, rng) -> DivElem:
-    """Uniform element of Gamma_n mod p^N; rng is a random.Random or a seed."""
-    if isinstance(rng, int):
-        import random
-        rng = random.Random(rng)
+    """Uniform element of Gamma_n mod p^N drawn from the random.Random rng."""
     h = ctx.e
     if n == 0:
         coeffs = [ctx.random_unit(rng)]

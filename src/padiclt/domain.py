@@ -138,17 +138,6 @@ class DomainFunc(TruncSeries):
     def at_precision(self, n: int) -> "DomainFunc":
         return self._build({e: c.at_precision(n) for e, c in self.terms.items()})
 
-    def evaluate(self, point: list[PadicScalar]) -> PadicScalar:
-        """Value at a point of the domain (list of h-1 scalars)."""
-        acc = self.ctx.zero()
-        for e, c in self.terms.items():
-            term = c
-            for i, a in enumerate(e):
-                for _ in range(a):
-                    term = scalar_mul(term, point[i])
-            acc = scalar_add(acc, term)
-        return acc
-
 
 def domain_const(ctx, h, dmax, c: PadicScalar) -> DomainFunc:
     return DomainFunc(ctx, h, dmax, {(0,) * (h - 1): c})
@@ -263,22 +252,20 @@ def _gamma_matrix(gamma: DivElem) -> list[list[PadicScalar]]:
     return [[entry(r, c) for c in range(h)] for r in range(h)]
 
 
-def gamma_act(gamma: DivElem, x: Section | DomainFunc, dmax: int | None = None):
+def gamma_act(gamma: DivElem, x: Section | DomainFunc):
     """The twisted substitution action of a unit gamma.
 
     On a plain function this is f -> f(gamma(w)); on a section of twist s
     the result picks up the factor den^s (the transform of phi_0^s).
     """
     if isinstance(x, DomainFunc):
-        return gamma_act(gamma, Section(x, 0), dmax).func
+        return gamma_act(gamma, Section(x, 0)).func
     f = x.func
     ctx, h = f.ctx, f.h
     if gamma.h != h or not gamma.ctx.same_ring(ctx):
         raise ValueError("gamma and section live over different contexts")
     if not gamma.is_unit():
         raise NonUnitError("gamma is not a unit of the maximal order")
-    if dmax not in (None, f.dmax):
-        f = DomainFunc(ctx, h, dmax, dict(f.terms))
     return Section(_act(f, _gamma_matrix(gamma), x.twist), x.twist)
 
 
@@ -314,14 +301,11 @@ def in_parabolic(a: list[list[PadicScalar]], p: int) -> bool:
     return det.valuation() == 0
 
 
-def p_act(a: list[list[PadicScalar]], f: DomainFunc, dmax: int | None = None) -> DomainFunc:
+def p_act(a: list[list[PadicScalar]], f: DomainFunc) -> DomainFunc:
     """a(w_i) = (a_{0i} + sum_j a_{ji} w_j) / (a_{00} + sum_j a_{j0} w_j): `a` is
     the substitution matrix of _act."""
-    ctx, h = f.ctx, f.h
-    if not in_parabolic(a, ctx.p):
+    if not in_parabolic(a, f.ctx.p):
         raise NotInPError("matrix fails the P-membership conditions")
-    if dmax not in (None, f.dmax):
-        f = DomainFunc(ctx, h, dmax, dict(f.terms))
     return _act(f, a, 0)
 
 

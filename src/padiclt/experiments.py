@@ -1,9 +1,9 @@
 """Seeded verification experiments and their report records.
 
-Each experiment is a pure function of an ExperimentConfig producing check
-records; reports serialize deterministically (timings are kept out of the
-byte stream unless explicitly requested).  The acceptance suite drives the
-same functions with pinned configurations.
+Each experiment is a function of an ExperimentConfig that adds its check
+records to the recorder `run` gives it; reports serialize deterministically
+(timings are kept out of the byte stream unless explicitly requested).  The
+acceptance suite runs the same experiments with pinned configurations.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ LEVEL_DEGREE = 80  # p = 13 gives 74, p = 17 gives 98
 FORMAL_DEGREE = 400
 # h = 2 fits nmax <= 21 (about 0.6 s), h = 3 fits nmax <= 17
 PERIOD_TERMS = 50_000
+# the precision N of the experiments with no other budget that grows with N;
+# at p = 3, h = 3, N = 4,000 formal-group-axioms takes 0.7 to 0.9 s and each
+# other one at most 0.16 s (fn-sequence); at N = 8,000, 2.2 s and 0.38 s
+WORKING_PRECISION = 4_000
+# p^h goes into formal-group-axioms' digest and report as a decimal integer,
+# and Python writes at most 4,300 digits; p = 2 fits h <= 13,287 (0.06 s)
+POWER_DIGITS = 4_000
 
 
 @dataclass
@@ -151,29 +158,33 @@ def _digest(cfg: ExperimentConfig, check_id: str, **extra) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_TRIAL_COUNTS = ("trials", "pairs", "comparisons", "steps", "monomials")
-
-
 class _Recorder:
+    """The check records of one run.  A record's runtime runs from the end of
+    the previous record, the first one's from the recorder's creation, so the
+    runtimes add up to the experiment's time."""
+
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.records: list[CheckRecord] = []
-        self._end = 0.0  # perf_counter() at the end of the last record
+        self._end = time.perf_counter()
 
-    def add(self, check_id: str, anchor: str, passed: bool, measured, t0: float, **extra):
-        """Record one check; a check that counted zero of any _TRIAL_COUNTS fails.
-
-        Its runtime runs from t0, or from the end of the previous record if
-        that is later, so checks that share one t0 never count the same time
-        twice.
-        """
-        if isinstance(measured, dict) and any(measured.get(k) == 0 for k in _TRIAL_COUNTS):
-            passed = False
+    def add(self, check_id: str, anchor: str, passed: bool, measured, **extra):
+        """Record one check; `extra` goes into its inputs digest."""
         digest = _digest(self.cfg, check_id, **extra)
-        start, self._end = max(t0, self._end), time.perf_counter()
+        start, self._end = self._end, time.perf_counter()
         self.records.append(CheckRecord(
             check_id, anchor, digest, measured, bool(passed),
             round((self._end - start) * 1000, 3)))
+
+    def tally(self, check_id: str, anchor: str, verdicts, count: str = "trials",
+              minimum: int = 1, **measured):
+        """Record a check from its per-trial verdicts as {count: how many, "ok":
+        how many hold, **measured}; it passes only when at least
+        max(minimum, 1) verdicts were counted and every one holds."""
+        verdicts = [bool(v) for v in verdicts]
+        ok = sum(verdicts)
+        self.add(check_id, anchor, len(verdicts) >= max(minimum, 1) and ok == len(verdicts),
+                 {count: len(verdicts), "ok": ok, **measured})
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -200,49 +211,31 @@ def _action_digits(cfg: ExperimentConfig, degree: int) -> int:
 
 # ---------------------------------------------------------------- experiments
 
-def exp_j_homomorphism(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_j_homomorphism(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """j and Nrd = det j multiplicative on 200 pairs; Nrd = 1 mod p^n on Gamma_n.
 
     j(a), j(b) and j(ab) are built once per pair and give both checks; only
     the three determinants are kept, so the time of j-multiplicative includes
     them and nrd-multiplicative times only the comparisons.
     """
-    rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
-    pairs = 200
-
-    t0 = time.perf_counter()
-    ok = 0
-    norms = []
-    for _ in range(pairs):
+    verdicts, norms = [], []
+    for _ in range(200):
         a = sample_gamma(ctx, 0, rng)
         b = sample_gamma(ctx, 0, rng)
         ja, jb, jab = j_embed(a), j_embed(b), j_embed(div_mul(a, b))
-        if mat_eq(jab, mat_mul(ja, jb)):
-            ok += 1
+        verdicts.append(mat_eq(jab, mat_mul(ja, jb)))
         norms.append((determinant(ja, ctx), determinant(jb, ctx), determinant(jab, ctx)))
-    rec.add("j-multiplicative", "j(ab) = j(a) j(b) in the frozen order",
-            ok == pairs, {"pairs": pairs, "ok": ok}, t0)
+    rec.tally("j-multiplicative", "j(ab) = j(a) j(b) in the frozen order", verdicts, "pairs")
+    rec.tally("nrd-multiplicative", "Nrd(ab) = Nrd(a) Nrd(b) via det of j",
+              [nab == scalar_mul(na, nb) for na, nb, nab in norms], "pairs")
 
-    t0 = time.perf_counter()
-    nrd_ok = sum(nab == scalar_mul(na, nb) for na, nb, nab in norms)
-    rec.add("nrd-multiplicative", "Nrd(ab) = Nrd(a) Nrd(b) via det of j",
-            nrd_ok == pairs, {"pairs": pairs, "ok": nrd_ok}, t0)
-
-    t0 = time.perf_counter()
-    cong_ok, trials = 0, 0
-    for n in (1, 2, 3):
-        for _ in range(20):
-            g = sample_gamma(ctx, n, rng)
-            d = scalar_sub(nrd(g), ctx.one())
-            v = d.valuation()
-            trials += 1
-            if v is None or v >= n:
-                cong_ok += 1
-    rec.add("nrd-congruence", "Nrd(1 + p^n u) = 1 mod p^n",
-            cong_ok == trials, {"trials": trials, "ok": cong_ok}, t0)
-    return rec.records
+    def congruent(n):
+        v = scalar_sub(nrd(sample_gamma(ctx, n, rng)), ctx.one()).valuation()
+        return v is None or v >= n
+    rec.tally("nrd-congruence", "Nrd(1 + p^n u) = 1 mod p^n",
+              [congruent(n) for n in (1, 2, 3) for _ in range(20)])
 
 
 def _matrix_oracle_gens(gamma, ctx, h, dmax):
@@ -272,149 +265,100 @@ def _matrix_oracle_gens(gamma, ctx, h, dmax):
     return [cols[i].mul(inv) for i in range(1, h)]
 
 
-def exp_dheq_vs_matrix(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_dheq_vs_matrix(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """gamma(w_i) against the embedded matrix, and the P-action on 50 members of P."""
-    rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
-    trials, ok = 0, 0
+    verdicts = []
     for _ in range(50):
         g = sample_gamma(ctx, 0, rng)
         oracle = _matrix_oracle_gens(g, ctx, cfg.h, 6)
-        for i in range(1, cfg.h):
-            trials += 1
-            acted = gamma_act(g, domain_var(ctx, cfg.h, 6, i))
-            if acted.eq(oracle[i - 1]):
-                ok += 1
-    rec.add("dheq-matches-matrix",
-            "gamma(w_i) = (w j(gamma))_i / (w j(gamma))_0 as series",
-            ok == trials, {"trials": trials, "ok": ok}, t0)
+        verdicts += [gamma_act(g, domain_var(ctx, cfg.h, 6, i)).eq(oracle[i - 1])
+                     for i in range(1, cfg.h)]
+    rec.tally("dheq-matches-matrix",
+              "gamma(w_i) = (w j(gamma))_i / (w j(gamma))_0 as series", verdicts)
 
-    t0 = time.perf_counter()
-    restr_ok, restr_trials = 0, 0
-    for _ in range(20):
+    def restricts():
         g = sample_gamma(ctx, 0, rng)
         f = random_domain_func(ctx, cfg.h, 5, rng)
-        restr_trials += 1
-        if p_act(j_embed(g), f).eq(gamma_act(g, Section(f, 0)).func):
-            restr_ok += 1
-    rec.add("p-action-restricts",
-            "a(w_i) substitution along j agrees with the gamma action",
-            restr_ok == restr_trials, {"trials": restr_trials, "ok": restr_ok}, t0)
+        return p_act(j_embed(g), f).eq(gamma_act(g, Section(f, 0)).func)
+    rec.tally("p-action-restricts",
+              "a(w_i) substitution along j agrees with the gamma action",
+              [restricts() for _ in range(20)])
 
-    t0 = time.perf_counter()
-    norm_ok, norm_trials = 0, 0
+    verdicts = []
     for k in range(50):
         # half the sample from the embedded unit group, half generic in P
         a = j_embed(sample_gamma(ctx, 0, rng)) if k % 2 else \
             domain.sample_parabolic(ctx, cfg.h, rng)
-        if not in_parabolic(a, cfg.p):
-            continue
-        for i in range(1, cfg.h):
-            wi = domain_var(ctx, cfg.h, 6, i)
-            norm_trials += 1
-            if p_act(a, wi).gauss_valuation() == wi.gauss_valuation():
-                norm_ok += 1
-    rec.add("p-action-norms", "||a(w_i)||_D = ||w_i||_D on 50 members of P",
-            norm_ok == norm_trials and norm_trials >= 50 * (cfg.h - 1),
-            {"trials": norm_trials, "ok": norm_ok}, t0)
-    return rec.records
+        if in_parabolic(a, cfg.p):
+            verdicts += [p_act(a, wi).gauss_valuation() == wi.gauss_valuation()
+                         for wi in (domain_var(ctx, cfg.h, 6, i) for i in range(1, cfg.h))]
+    rec.tally("p-action-norms", "||a(w_i)||_D = ||w_i||_D on 50 members of P",
+              verdicts, minimum=50 * (cfg.h - 1))
 
 
-def exp_action_law(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_action_law(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """gamma(gamma'(x)) = (gamma gamma')(x) and ||gamma(x)||_D = ||x||_D."""
     dmax = 6
-    rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
 
-    t0 = time.perf_counter()
-    ok, trials = 0, 0
-    floor_seen = None
+    verdicts, floor_seen = [], None
     for s in (-2, 0, 3):
         for _ in range(4):
             g1 = sample_gamma(ctx, 0, rng)
             g2 = sample_gamma(ctx, 0, rng)
             x = Section(random_domain_func(ctx, cfg.h, dmax, rng), s)
-            lhs = gamma_act(g1, gamma_act(g2, x))
-            rhs = gamma_act(div_mul(g1, g2), x)
-            d = lhs.sub(rhs)
-            trials += 1
-            if d.is_zero_at_precision():
-                ok += 1
-            else:
-                v = d.gauss_valuation()
+            d = gamma_act(g1, gamma_act(g2, x)).sub(gamma_act(div_mul(g1, g2), x))
+            v = None if d.is_zero_at_precision() else d.gauss_valuation()
+            if v is not None:
                 floor_seen = v if floor_seen is None else min(floor_seen, v)
-                if v > dmax:
-                    ok += 1
-    rec.add("law-mod-truncation",
-            "gamma(gamma'(x)) = (gamma gamma')(x) modulo the weight-Dmax ideal",
-            ok == trials, {"trials": trials, "ok": ok, "min_defect_weight": floor_seen},
-            t0)
+            verdicts.append(v is None or v > dmax)
+    rec.tally("law-mod-truncation",
+              "gamma(gamma'(x)) = (gamma gamma')(x) modulo the weight-Dmax ideal",
+              verdicts, min_defect_weight=floor_seen)
 
     # elevated degree budget: low degrees agree exactly at full precision
     if cfg.h == 2:
-        t0 = time.perf_counter()
         W = cfg.h * cfg.N + (cfg.h - 1) * dmax
-        exact_ok, exact_trials = 0, 0
+        verdicts = []
         for s in (-2, 0, 3):
             for _ in range(2):
                 g1 = sample_gamma(ctx, 0, rng)
                 g2 = sample_gamma(ctx, 0, rng)
                 f = random_domain_func(ctx, cfg.h, dmax, rng)
                 x = Section(DomainFunc(ctx, cfg.h, W, dict(f.terms)), s)
-                lhs = gamma_act(g1, gamma_act(g2, x))
-                rhs = gamma_act(div_mul(g1, g2), x)
-                low = {e for e in lhs.sub(rhs).func.terms if sum(e) <= dmax}
-                exact_trials += 1
-                if not low:
-                    exact_ok += 1
-        rec.add("law-exact-low-degrees",
-                "composition exact mod p^N to degree 6 at elevated budget",
-                exact_ok == exact_trials,
-                {"trials": exact_trials, "ok": exact_ok, "budget": W}, t0)
+                d = gamma_act(g1, gamma_act(g2, x)).sub(gamma_act(div_mul(g1, g2), x))
+                verdicts.append(all(sum(e) > dmax for e in d.func.terms))
+        rec.tally("law-exact-low-degrees",
+                  "composition exact mod p^N to degree 6 at elevated budget",
+                  verdicts, budget=W)
 
-    t0 = time.perf_counter()
-    np_ok, np_trials = 0, 0
-    for s in (-2, 0, 3):
-        for _ in range(6):
-            g = sample_gamma(ctx, 0, rng)
-            x = Section(random_domain_func(ctx, cfg.h, 4, rng), s)
-            np_trials += 1
-            if gamma_act(g, x).gauss_valuation() == x.gauss_valuation():
-                np_ok += 1
-    rec.add("norm-preservation", "||gamma(x)||_D = ||x||_D",
-            np_ok == np_trials, {"trials": np_trials, "ok": np_ok}, t0)
-    return rec.records
+    def preserved(s):
+        g = sample_gamma(ctx, 0, rng)
+        x = Section(random_domain_func(ctx, cfg.h, 4, rng), s)
+        return gamma_act(g, x).gauss_valuation() == x.gauss_valuation()
+    rec.tally("norm-preservation", "||gamma(x)||_D = ||x||_D",
+              [preserved(s) for s in (-2, 0, 3) for _ in range(6)])
 
 
-def exp_lie_weights(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_lie_weights(cfg: ExperimentConfig, rec: _Recorder) -> None:
     ctx = make_context(cfg.p, cfg.h, cfg.N)
-    t0 = time.perf_counter()
-    ok, trials = 0, 0
-    for s in (0, 1, 3):
-        for e in monomials(cfg.h, 6):
-            x = monomial_section(ctx, cfg.h, 8, e, s)
-            trials += 1
-            good = lie_act(0, 0, x).func.eq(x.func.scale_int(s - sum(e)))
-            for i in range(1, cfg.h):
-                good = good and lie_act(i, i, x).func.eq(x.func.scale_int(e[i - 1]))
-            if good:
-                ok += 1
-    rec.add("diagonal-weights",
-            "x_00(w^a phi^s) = (s-|a|) w^a phi^s and x_ii -> a_i",
-            ok == trials, {"monomials": trials, "ok": ok}, t0)
 
-    t0 = time.perf_counter()
+    def weighted(x, e, s):
+        return lie_act(0, 0, x).func.eq(x.func.scale_int(s - sum(e))) and all(
+            lie_act(i, i, x).func.eq(x.func.scale_int(e[i - 1])) for i in range(1, cfg.h))
+    rec.tally("diagonal-weights", "x_00(w^a phi^s) = (s-|a|) w^a phi^s and x_ii -> a_i",
+              [weighted(monomial_section(ctx, cfg.h, 8, e, s), e, s)
+               for s in (0, 1, 3) for e in monomials(cfg.h, 6)], "monomials")
+
     killed = all(
         lie_act(0, j, monomial_section(ctx, cfg.h, 6, (0,) * (cfg.h - 1), s))
         .is_zero_at_precision()
         for j in range(1, cfg.h) for s in (0, 1, 3))
     rec.add("n-kills-highest-weight", "upper operators annihilate phi_0^s",
-            killed, {}, t0)
-    return rec.records
+            killed, {})
 
 
 def _lie_table(ctx, h: int, s: int, ops, exps, table: dict) -> None:
@@ -443,7 +387,7 @@ def _add_scaled(out: dict, f: dict, k: int, pn: int) -> None:
             out.pop(b, None)
 
 
-def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_lie_bracket(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """[x_ij, x_kl] = d_jk x_il - d_li x_kj on the monomial sections of degree <= 5.
 
     Every operator is a monomial map with integer multipliers, so for each
@@ -458,13 +402,11 @@ def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
     same equation with its sides swapped, so one comparison decides both.
     """
     h = cfg.h
-    rec = _Recorder(cfg)
     ctx = make_context(cfg.p, h, cfg.N)
-    t0 = time.perf_counter()
     ops = [(i, j) for i in range(h) for j in range(h)]
     exps = monomials(h, 5)
     pn = cfg.p ** cfg.N
-    ok, trials = 0, 0
+    verdicts = []
     for s in (0, 2):
         table: dict = {}
         _lie_table(ctx, h, s, ops, exps, table)
@@ -488,24 +430,16 @@ def exp_lie_bracket(cfg: ExperimentConfig) -> list[CheckRecord]:
                         _add_scaled(ab, first[k, j], 1, pn)
                     if j == k:
                         _add_scaled(ba, first[i, l], 1, pn)
-                    pair = 1 if b == a else 2
-                    trials += pair
-                    if ab == ba:
-                        ok += pair
-    rec.add("gl-bracket", "[x_ij, x_kl] = d_jk x_il - d_li x_kj on sections",
-            ok == trials, {"trials": trials, "ok": ok}, t0)
-    return rec.records
+                    verdicts += [ab == ba] * (1 if b == a else 2)
+    rec.tally("gl-bracket", "[x_ij, x_kl] = d_jk x_il - d_li x_kj on sections", verdicts)
 
 
-def exp_finite_difference(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_finite_difference(cfg: ExperimentConfig, rec: _Recorder) -> None:
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
     # measured pre-build: the defect gains exactly h units of v(p)/h per step
     step_floor = cfg.h
-    ok, trials = 0, 0
-    min_step = None
+    verdicts, min_step = [], None
     for _ in range(20):
         delta = sample_obh(ctx, rng)
         f = random_domain_func(ctx, cfg.h, 4, rng)
@@ -518,28 +452,24 @@ def exp_finite_difference(cfg: ExperimentConfig) -> list[CheckRecord]:
             err = quot.sub(Section(dx.func.at_precision(cfg.N - k), dx.twist))
             v = None if err.is_zero_at_precision() else err.func.gauss_valuation()
             if prev is not None:
-                trials += 1
-                if v is None or v - prev >= step_floor:
-                    ok += 1
+                verdicts.append(v is None or v - prev >= step_floor)
                 if v is not None:
                     step = v - prev
                     min_step = step if min_step is None else min(min_step, step)
             if v is None:
                 break
             prev = v
-    rec.add("difference-quotient-converges",
-            "valuation of p^-k (gamma(x)-x) - D_delta(x) grows by >= h units per step",
-            ok == trials, {"steps": trials, "ok": ok, "min_step": min_step}, t0)
+    rec.tally("difference-quotient-converges",
+              "valuation of p^-k (gamma(x)-x) - D_delta(x) grows by >= h units per step",
+              verdicts, "steps", min_step=min_step)
 
-    t0 = time.perf_counter()
     zero_case = lie_finite_difference(
         divalg.DivElem(ctx, tuple(ctx.zero() for _ in range(cfg.h))),
         Section(random_domain_func(ctx, cfg.h, 4, rng), 0), 2)
     rec.add("zero-direction", "delta = 0 gives (0, 0)",
             zero_case[0].is_zero_at_precision() and zero_case[1].is_zero_at_precision(),
-            {}, t0)
+            {})
 
-    t0 = time.perf_counter()
     # diagonal sanity: D(w_1 phi^0) = (M_11 - M_00) w_1 for diagonal j(delta)
     lam = ctx.random_unit(rng)
     delta = divalg.div_from_scalar(lam)
@@ -548,15 +478,12 @@ def exp_finite_difference(cfg: ExperimentConfig) -> list[CheckRecord]:
     expected = domain_var(ctx, cfg.h, 6, 1).scale(scalar_sub(mat[1][1], mat[0][0]))
     got = domain.lie_derived_operator(delta, x)
     rec.add("derived-diagonal", "D_delta(w_1) = (j(delta)_11 - j(delta)_00) w_1",
-            got.func.eq(expected), {}, t0)
-    return rec.records
+            got.func.eq(expected), {})
 
 
-def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_fn_sequence(cfg: ExperimentConfig, rec: _Recorder) -> None:
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
     dmax = cfg.Dmax
     d = 2
     # the second check compares f_n for n from Dmax - d to nmax
@@ -568,7 +495,7 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
     def agree(f, g, n):
         return f.at_precision(prec[n]).eq(g.at_precision(prec[n]))
 
-    ok, trials = 0, 0
+    verdicts = []
     tails = []  # per twist: the (n, closed form, f_n) the second check compares, and deg_d
     for s in (-1, 0, 2):
         terms = {e: ctx.random_element(rng) for e in monomials(cfg.h, dmax) if sum(e) >= d}
@@ -577,75 +504,49 @@ def exp_fn_sequence(cfg: ExperimentConfig) -> list[CheckRecord]:
             f0 = f0.add(domain_monomial(ctx, cfg.h, dmax, (d,) + (0,) * (cfg.h - 2),
                                         ctx.random_unit(rng)))
         recs, closed = fn_sequence(f0, d, s, nmax)
-        for n, (a, b) in enumerate(zip(recs, closed)):
-            trials += 1
-            if agree(a, b, n):
-                ok += 1
+        verdicts += [agree(a, b, n) for n, (a, b) in enumerate(zip(recs, closed))]
         deg_d = DomainFunc(ctx, cfg.h, dmax, {e: c for e, c in f0.terms.items() if sum(e) == d})
         tails.append(([(n, closed[n], recs[n]) for n in range(dmax - d, nmax + 1)], deg_d))
         # homogeneous input is fixed
-        trials += 1
         hom_rec, hom_closed = fn_sequence(deg_d, d, s, 3)
-        if all(agree(r, deg_d, n) and agree(c, deg_d, n)
-               for n, (r, c) in enumerate(zip(hom_rec, hom_closed))):
-            ok += 1
-    rec.add("recursion-equals-closed-form",
-            "f_n = (1/n)((d+n-s) f_{n-1} + x_00 f_{n-1}) matches (-1)^n C(i-1,n) scaling",
-            ok == trials, {"comparisons": trials, "ok": ok}, t0)
-
-    t0 = time.perf_counter()
-    stab_ok, stab_trials = 0, 0
-    for tail, deg_d in tails:
-        for n, closed_n, rec_n in tail:
-            stab_trials += 1
-            if agree(closed_n, deg_d, n) and agree(rec_n, deg_d, n):
-                stab_ok += 1
-    rec.add("stabilizes-to-lowest-slice",
-            "f_n equals the degree-d part once n >= Dmax - d",
-            stab_ok == stab_trials, {"comparisons": stab_trials, "ok": stab_ok}, t0)
-    return rec.records
+        verdicts.append(all(agree(r, deg_d, n) and agree(c, deg_d, n)
+                            for n, (r, c) in enumerate(zip(hom_rec, hom_closed))))
+    rec.tally("recursion-equals-closed-form",
+              "f_n = (1/n)((d+n-s) f_{n-1} + x_00 f_{n-1}) matches (-1)^n C(i-1,n) scaling",
+              verdicts, "comparisons")
+    rec.tally("stabilizes-to-lowest-slice", "f_n equals the degree-d part once n >= Dmax - d",
+              [agree(closed_n, deg_d, n) and agree(rec_n, deg_d, n)
+               for tail, deg_d in tails for n, closed_n, rec_n in tail], "comparisons")
 
 
-def exp_vs_stability(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_vs_stability(cfg: ExperimentConfig, rec: _Recorder) -> None:
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
-    ok, trials = 0, 0
-    bases = []
+    verdicts, bases = [], []
     for s in range(0, 6):
-        basis = [e for e in monomials(cfg.h, s)]
-        bases.append(basis)
-        for e in basis:
+        bases.append(monomials(cfg.h, s))
+        for e in bases[-1]:
             g = sample_gamma(ctx, 0, rng)
             y = gamma_act(g, monomial_section(ctx, cfg.h, s + 2, e, s))
-            trials += 1
-            if all(sum(t) <= s for t in y.func.terms):
-                ok += 1
-    rec.add("gamma-stabilizes-Vs", "gamma(w^a phi_0^s) stays in V_s for |a| <= s",
-            ok == trials, {"trials": trials, "ok": ok}, t0)
+            verdicts.append(all(sum(t) <= s for t in y.func.terms))
+    rec.tally("gamma-stabilizes-Vs", "gamma(w^a phi_0^s) stays in V_s for |a| <= s", verdicts)
 
-    t0 = time.perf_counter()
     dims_ok = all(len(basis) == math.comb(s + cfg.h - 1, cfg.h - 1)
                   for s, basis in enumerate(bases))
     rec.add("Vs-dimension", "dim V_s = C(s+h-1, h-1)",
-            dims_ok, {"s_range": [0, 5]}, t0)
-    return rec.records
+            dims_ok, {"s_range": [0, 5]})
 
 
-def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_reachability(cfg: ExperimentConfig, rec: _Recorder) -> None:
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     dmax = 8
-    t0 = time.perf_counter()
     ok = True
     for s in (0, 1, 3):
         r = reach_span(monomial_section(ctx, cfg.h, dmax, (0,) * (cfg.h - 1), s), dmax)
         ok = ok and r.monomials == set(monomials(cfg.h, s))
     rec.add("highest-weight-spans-Vs", "the span of phi_0^s is exactly V_s",
-            ok, {}, t0)
+            ok, {})
 
-    t0 = time.perf_counter()
     full = set(monomials(cfg.h, dmax))
     e = (2,) + (1,) * (cfg.h - 2)  # degree d = h > s for small s
     ok2 = all(
@@ -653,25 +554,21 @@ def exp_reachability(cfg: ExperimentConfig) -> list[CheckRecord]:
         for s in range(0, sum(e)))
     rec.add("high-degree-reaches-all",
             "homogeneous degree d > s reaches every monomial below the bound",
-            ok2, {"degree": sum(e)}, t0)
+            ok2, {"degree": sum(e)})
 
-    t0 = time.perf_counter()
     ok3 = all(
         reach_span(monomial_section(ctx, cfg.h, dmax, e, s), dmax).monomials == full
         for s in (-1, -3) for e in [(0,) * (cfg.h - 1), (1,) + (0,) * (cfg.h - 2)])
     rec.add("negative-twist-reaches-all", "s < 0 reaches every monomial",
-            ok3, {}, t0)
-    return rec.records
+            ok3, {})
 
 
-def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_kernels(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """Kernels of systems of Lie operators on the monomials of degree <= 8."""
     h = cfg.h
-    rec = _Recorder(cfg)
     ctx = make_context(cfg.p, h, cfg.N)
     const = tuple([0] * (h - 1))
 
-    t0 = time.perf_counter()
     ok = True
     dims = {}
     for dm in (2, 5, 8):
@@ -680,9 +577,8 @@ def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
         ok = ok and len(k.basis) == 1 and set(k.basis[0].terms) == {const} and k.reliable
     rec.add("n-row-kernel-is-constants",
             "df/dw_j = 0 for all j forces a constant (every Dmax <= 8)",
-            ok, {"dimensions": dims}, t0)
+            ok, {"dimensions": dims})
 
-    t0 = time.perf_counter()
     nops = [(i, j) for i in range(h) for j in range(h) if i < j]
     dims = []
     ok = True
@@ -692,22 +588,18 @@ def exp_kernels(cfg: ExperimentConfig) -> list[CheckRecord]:
         ok = ok and len(k2.basis) == 1 and set(k2.basis[0].terms) == {const}
     rec.add("n-kernel-in-Vs-is-line",
             "within V_s the upper-triangular kernel is the line phi_0^s",
-            ok, {"dimensions": dims}, t0)
+            ok, {"dimensions": dims})
 
-    t0 = time.perf_counter()
     k3 = operator_kernel(ctx, h, [], 0, 4)
     rec.add("empty-system-full-space", "no constraints leave the whole space",
-            len(k3.basis) == len(monomials(h, 4)), {"dimension": len(k3.basis)}, t0)
-    return rec.records
+            len(k3.basis) == len(monomials(h, 4)), {"dimension": len(k3.basis)})
 
 
-def exp_lf_diagnostic(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_lf_diagnostic(cfg: ExperimentConfig, rec: _Recorder) -> None:
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
     ladder = (6, 8, 10)
-    t0 = time.perf_counter()
-    ok, trials = 0, 0
+    verdicts = []
     for s in (0, 1, 3):
         dim_vs = math.comb(s + cfg.h - 1, cfg.h - 1)
         for _ in range(3):
@@ -716,37 +608,30 @@ def exp_lf_diagnostic(cfg: ExperimentConfig) -> list[CheckRecord]:
             if f.is_zero_at_precision():
                 continue
             v = lf_diagnostic(Section(f, s), ladder)
-            trials += 1
-            if v.kind == "finite" and v.dimension is not None and v.dimension <= dim_vs:
-                ok += 1
-    rec.add("Vs-vectors-finite", "vectors inside V_s report a stable dimension",
-            ok == trials, {"trials": trials, "ok": ok, "ladder": list(ladder)}, t0)
+            verdicts.append(v.kind == "finite" and v.dimension is not None
+                            and v.dimension <= dim_vs)
+    rec.tally("Vs-vectors-finite", "vectors inside V_s report a stable dimension",
+              verdicts, ladder=list(ladder))
 
-    t0 = time.perf_counter()
     ok2 = True
     for s in (0, 1, 2):
         e = (s + 1,) + (0,) * (cfg.h - 2)
         v = lf_diagnostic(monomial_section(ctx, cfg.h, 12, e, s), ladder)
         ok2 = ok2 and v.kind == "growing"
     rec.add("outside-Vs-grows", "w_1^(s+1) phi_0^s keeps growing along the ladder",
-            ok2, {"ladder": list(ladder)}, t0)
+            ok2, {"ladder": list(ladder)})
 
-    t0 = time.perf_counter()
     v = lf_diagnostic(Section(domain_const(ctx, cfg.h, 10, ctx.one()), 0), ladder)
     rec.add("constant-is-finite", "the constant section at s = 0 has dimension 1",
-            v.kind == "finite" and v.dimension == 1, {}, t0)
-    return rec.records
+            v.kind == "finite" and v.dimension == 1, {})
 
 
-def exp_contraction(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_contraction(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """Gamma_n contracts vD(gamma f - f) by n h, and b^alpha by |alpha| n h."""
     # the second check's degree budget keeps the truncation floor above |alpha| n h
     bdmax = 14 if cfg.h == 2 else 10
-    rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
-    t0 = time.perf_counter()
-    ok, trials = 0, 0
-    worst = {}
+    verdicts, worst = [], {}
     dmax = 10 if cfg.h == 2 else 6
     for n in (1, 2, 3):
         rng = random.Random(cfg.seed + n)
@@ -755,18 +640,15 @@ def exp_contraction(cfg: ExperimentConfig) -> list[CheckRecord]:
             g = sample_gamma(ctx, n, rng)
             f = random_domain_func(ctx, cfg.h, dmax, rng)
             prof = contraction_profile(g, f)
-            trials += 1
-            if prof is None or prof >= n * cfg.h:
-                ok += 1
+            verdicts.append(prof is None or prof >= n * cfg.h)
             if prof is not None:
                 mins = prof if mins is None else min(mins, prof)
         worst[n] = mins
-    rec.add("gamma-n-contracts",
-            "vD(gamma f - f) - vD(f) >= n h for gamma in Gamma_n (measured, frozen)",
-            ok == trials, {"trials": trials, "ok": ok, "min_profiles": worst}, t0)
+    rec.tally("gamma-n-contracts",
+              "vD(gamma f - f) - vD(f) >= n h for gamma in Gamma_n (measured, frozen)",
+              verdicts, min_profiles=worst)
 
-    t0 = time.perf_counter()
-    ok2, trials2 = 0, 0
+    verdicts = []
     n = 1
     rng = random.Random(cfg.seed + 100)
     for alpha in [(1, 0), (1, 1), (2, 1)]:
@@ -775,25 +657,18 @@ def exp_contraction(cfg: ExperimentConfig) -> list[CheckRecord]:
             f = random_domain_func(ctx, cfg.h, 3, rng)
             x = Section(DomainFunc(ctx, cfg.h, bdmax, dict(f.terms)), 0)
             y = dist.apply_b_iterated(dist.BMonomialSet(gs, alpha), x)
-            trials2 += 1
-            if y.is_zero_at_precision():
-                ok2 += 1
-            elif y.gauss_valuation() - f.gauss_valuation() >= sum(alpha) * n * cfg.h:
-                ok2 += 1
-    rec.add("b-monomial-contracts",
-            "vD(b^a f) - vD(f) >= |a| n h, iterating the single step",
-            ok2 == trials2, {"trials": trials2, "ok": ok2}, t0)
-    return rec.records
+            verdicts.append(y.is_zero_at_precision()
+                            or y.gauss_valuation() - f.gauss_valuation() >= sum(alpha) * n * cfg.h)
+    rec.tally("b-monomial-contracts", "vD(b^a f) - vD(f) >= |a| n h, iterating the single step",
+              verdicts)
 
 
-def exp_formal_group_axioms(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_formal_group_axioms(cfg: ExperimentConfig, rec: _Recorder) -> None:
     p = cfg.p
     dmax = 20
     rng = random.Random(cfg.seed)
     for tag, fdict in (("height-1", {1: p, p: 1}),
                        ("height-h", {1: p, p ** cfg.h: 1})):
-        t0 = time.perf_counter()
         M = formal.lt_construct(p, fdict, dmax, cfg.N)
         ring, F = M.ring, M.F
         comm = F.eq(TruncSeries(ring, 2, dmax,
@@ -816,54 +691,38 @@ def exp_formal_group_axioms(cfg: ExperimentConfig) -> list[CheckRecord]:
         rec.add(f"axioms-{tag}",
                 "F(X,0)=X, commutativity, associativity, [a][b]=[ab], log additivity",
                 comm and assoc and unital and mult_ok and log_ok,
-                {"f": fdict, "Dmax": dmax}, t0, f=sorted(fdict.items()))
+                {"f": fdict, "Dmax": dmax}, f=sorted(fdict.items()))
 
-    t0 = time.perf_counter()
     G = formal.gm_module(p, max(dmax, p + 1), cfg.N)
     expect = {(n,): math.comb(p, n) for n in range(1, p + 1)}
     gm_ok = G.mult(p).eq(TruncSeries(G.ring, 1, G.dmax, expect))
     rec.add("gm-p-multiplication", "[p] on the multiplicative law is (1+X)^p - 1",
-            gm_ok, {}, t0)
-    return rec.records
+            gm_ok, {})
 
 
-def exp_gm_identities(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_gm_identities(cfg: ExperimentConfig, rec: _Recorder) -> None:
     p = cfg.p
     dmax = cfg.Dmax
     rng = random.Random(cfg.seed)
     G = formal.gm_module(p, dmax, cfg.N)
-    t0 = time.perf_counter()
     one_ok = G.mult(1).eq(series_var(G.ring, 1, dmax, 0))
-    rec.add("one-is-identity", "[1](X) = X", one_ok, {}, t0)
-    t0 = time.perf_counter()
+    rec.add("one-is-identity", "[1](X) = X", one_ok, {})
     expect = {(n,): math.comb(p, n) for n in range(1, min(p, dmax) + 1)}
     rec.add("p-binomial", "[p](X) = (1+X)^p - 1 exactly",
-            G.mult(p).eq(TruncSeries(G.ring, 1, dmax, expect)), {}, t0)
-    t0 = time.perf_counter()
-    ok, trials = 0, 0
-    for _ in range(6):
-        a = rng.randrange(-20, 20)
-        b = rng.randrange(-20, 20)
-        trials += 1
-        if compose_univariate(G.mult(a), G.mult(b)).eq(G.mult(a * b)):
-            ok += 1
-    rec.add("composition", "[a][b] = [ab] for sampled integers",
-            ok == trials, {"trials": trials, "ok": ok}, t0)
-    return rec.records
+            G.mult(p).eq(TruncSeries(G.ring, 1, dmax, expect)), {})
+    pairs = [(rng.randrange(-20, 20), rng.randrange(-20, 20)) for _ in range(6)]
+    rec.tally("composition", "[a][b] = [ab] for sampled integers",
+              [compose_univariate(G.mult(a), G.mult(b)).eq(G.mult(a * b)) for a, b in pairs])
 
 
-def exp_logarithm(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_logarithm(cfg: ExperimentConfig, rec: _Recorder) -> None:
     p = cfg.p
-    t0 = time.perf_counter()
     ga = formal.ga_module(p, 10, cfg.N)
     la = formal.logarithm(ga)
     ga_ok = la.numerator.eq(TruncSeries(la.numerator.ring, 1, 10,
                                         {(1,): p ** la.denom_exp}))
-    rec.add("additive-log", "the additive law has logarithm X", ga_ok, {}, t0)
+    rec.add("additive-log", "the additive law has logarithm X", ga_ok, {})
 
-    t0 = time.perf_counter()
     G = formal.gm_module(p, 12, cfg.N)
     lg = formal.logarithm(G)
     ring = lg.numerator.ring
@@ -875,9 +734,8 @@ def exp_logarithm(cfg: ExperimentConfig) -> list[CheckRecord]:
         expect[(n,)] = c % ring.pN
     rec.add("multiplicative-log",
             "the multiplicative law integrates to sum (-1)^(n+1) X^n / n",
-            lg.numerator.eq(TruncSeries(ring, 1, 12, expect)), {"denom_exp": d}, t0)
+            lg.numerator.eq(TruncSeries(ring, 1, 12, expect)), {"denom_exp": d})
 
-    t0 = time.perf_counter()
     M = formal.lt_construct(3, {1: 3, 3: 1}, 15, cfg.N)
     log = formal.logarithm(M)
     num = log.numerator
@@ -890,37 +748,29 @@ def exp_logarithm(cfg: ExperimentConfig) -> list[CheckRecord]:
                  for a in (2, 5))
     rec.add("lubin-tate-log-additivity",
             "phi(F(X,Y)) = phi(X) + phi(Y) and phi([a]) = a phi",
-            add_ok and lin_ok, {"p": 3, "Dmax": 15}, t0)
-    return rec.records
+            add_ok and lin_ok, {"p": 3, "Dmax": 15})
 
 
-def exp_height(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_height(cfg: ExperimentConfig, rec: _Recorder) -> None:
     p = cfg.p
-    t0 = time.perf_counter()
     gm_h = formal.height(formal.gm_module(p, p + 2, cfg.N).reduce())
     rec.add("multiplicative-height", "the multiplicative reduction has height 1",
-            gm_h == 1, {"height": gm_h}, t0)
-    t0 = time.perf_counter()
+            gm_h == 1, {"height": gm_h})
     ga_h = formal.height(formal.ga_module(p, p + 2, cfg.N).reduce())
     rec.add("additive-height", "the additive reduction has height infinity",
-            ga_h == math.inf, {"height": "inf"}, t0)
+            ga_h == math.inf, {"height": "inf"})
     for hh in (2, 3):
-        t0 = time.perf_counter()
         M = formal.lt_construct(p, {1: p, p ** hh: 1}, p ** hh + 2, min(cfg.N, 6))
         got = formal.height(M.reduce())
         rec.add(f"lubin-tate-height-{hh}",
                 "[p] = g(X^(q^h)) with g'(0) != 0 read off the reduction",
-                got == hh, {"expected": hh, "got": got}, t0)
-    return rec.records
+                got == hh, {"expected": hh, "got": got})
 
 
-def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_level_structure(cfg: ExperimentConfig, rec: _Recorder) -> None:
     p = cfg.p
     dm = 6 * (p - 1) + 2
-    rec = _Recorder(cfg)
     prec = 6
-    t0 = time.perf_counter()
     M = formal.lt_construct(p, {1: p, p: 1}, dm, prec)
     tors = formal.torsion_polynomial(M, 1)
     phi_over_x = {k - 1: v for k, v in tors.items()}
@@ -929,14 +779,12 @@ def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
     ok = formal.level_structure_check(M, pts, 1, R)
     rec.add("torsion-points-form-level-structure",
             "X prod (X - [a](x)) equals [p](X) in the torsion quotient ring",
-            ok, {"p": p, "precision": prec}, t0)
+            ok, {"p": p, "precision": prec})
 
-    t0 = time.perf_counter()
     zero_ok = not formal.level_structure_check(M, [R.zero()] * p, 1, R)
     rec.add("zero-map-rejected", "phi = 0 fails: X^p does not divide [p](X)",
-            zero_ok, {}, t0)
+            zero_ok, {})
 
-    t0 = time.perf_counter()
     triv = formal.level_structure_check(M, [R.zero()], 0, R)
     card = False
     try:
@@ -945,15 +793,12 @@ def exp_level_structure(cfg: ExperimentConfig) -> list[CheckRecord]:
         card = True
     rec.add("level-zero-and-cardinality",
             "m = 0 passes with the zero point; wrong cardinality raises",
-            triv and card, {}, t0)
-    return rec.records
+            triv and card, {})
 
 
-def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
-    rec = _Recorder(cfg)
+def exp_endomorphism_frobenius(cfg: ExperimentConfig, rec: _Recorder) -> None:
     p = cfg.p
     hh = cfg.h
-    t0 = time.perf_counter()
     ctxr = UnramRing(make_context(p, hh, 1))
     M = formal.lt_construct(p, {1: p, p ** hh: 1}, p ** hh + 4, min(cfg.N, 6))
     red = M.reduce(ctxr)
@@ -961,12 +806,10 @@ def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
     endo = formal.check_endomorphism(tau, red)
     rec.add("frobenius-is-endomorphism",
             "X^q commutes with the reduced law and its multiplications",
-            endo, {"p": p, "h": hh}, t0)
-    t0 = time.perf_counter()
+            endo, {"p": p, "h": hh})
     power = formal.frobenius_power_series(red, hh).eq(red.mult(p))
     rec.add("frobenius-power-is-p", "tau^h = [p] on the height-h reduction",
-            power, {}, t0)
-    t0 = time.perf_counter()
+            power, {})
     ident = formal.check_endomorphism(series_var(red.ring, 1, red.dmax, 0), red)
     non = True
     if p >= 3:
@@ -975,23 +818,19 @@ def exp_endomorphism_frobenius(cfg: ExperimentConfig) -> list[CheckRecord]:
         non = not formal.check_endomorphism(bad, red)
     rec.add("identity-and-counterexample",
             "the identity passes; X + X^2 fails additivity",
-            ident and non, {}, t0)
-    return rec.records
+            ident and non, {})
 
 
-def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_period_convergence(cfg: ExperimentConfig, rec: _Recorder) -> None:
     p, h, nmax = cfg.p, cfg.h, cfg.nmax
-    rec = _Recorder(cfg)
     budget = periods.degree_budget(p, nmax)
-    t0 = time.perf_counter()
     coeffs = periods.univ_log_coeffs(h, p, nmax, budget)
     rec_ok = all(periods.recursion_defect(coeffs, h, p, n).is_zero()
                  for n in range(1, nmax + 1))
     den_ok = all(a.denom <= n for n, a in enumerate(coeffs))
     rec.add("recursion-identity", "p a_n = sum u_i^(q^(n-i)) a_{n-i} exactly",
-            rec_ok and den_ok, {"nmax": nmax}, t0)
+            rec_ok and den_ok, {"nmax": nmax})
 
-    t0 = time.perf_counter()
     stages = nmax // h
     bounded = True
     origin_ok = True
@@ -1008,11 +847,10 @@ def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
                 origin_ok = origin_ok and num == 0
     rec.add("approximants-power-bounded",
             "p^n a_{nh} and p^(n+1) a_{nh+i} are power-bounded on the l=1 disc",
-            bounded, {"stages": stages}, t0)
+            bounded, {"stages": stages})
     rec.add("origin-normalization", "the period point of the origin is [1:0:...:0]",
-            origin_ok, {}, t0)
+            origin_ok, {})
 
-    t0 = time.perf_counter()
     decreasing = True
     diffs = []
     prev = None
@@ -1026,9 +864,8 @@ def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
         prev = v
     rec.add("phi-differences-contract",
             "||phi_0^(n+1) - phi_0^(n)||_1 strictly decreases",
-            decreasing and len(diffs) >= 2, {"difference_valuations": diffs}, t0)
+            decreasing and len(diffs) >= 2, {"difference_valuations": diffs})
 
-    t0 = time.perf_counter()
     ui = periods.univ_one(h, p, budget).mul_monomial(1, 1)
     norm_ok = all(periods.norm_l(ui, l) == 1 for l in (1, 2)) \
         and periods.norm_l(periods.univ_one(h, p, budget), 1) == 0
@@ -1046,18 +883,15 @@ def exp_period_convergence(cfg: ExperimentConfig) -> list[CheckRecord]:
             norm_ok = norm_ok and periods.norm_l(f.mul(g), l) == \
                 periods.norm_l(f, l) + periods.norm_l(g, l)
     rec.add("l-norm-family", "||u_i||_l = |p|^(1/l) and the norms multiply",
-            norm_ok, {}, t0)
-    return rec.records
+            norm_ok, {})
 
 
-def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
+def exp_dist_norms(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """Norms of b-monomials, the signed expansion of (gamma - 1)^2, and two
     evaluation orders of b^alpha on a section."""
     W = cfg.h * cfg.N + 5 if cfg.h == 2 else 12
-    rec = _Recorder(cfg)
     ctx = make_context(cfg.p, cfg.h, cfg.N)
     rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
     r = Fraction(1, cfg.p)
     norm_ok = dist.dist_norm_r({(0, 0): 1}, r, cfg.p) == 1
     for alpha in [(1, 0), (2, 1), (0, 3)]:
@@ -1066,9 +900,8 @@ def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
     for alpha in [(1, 1), (3, 0)]:
         norm_ok = norm_ok and dist.dist_norm_r({alpha: 1}, r2, cfg.p) == r2 ** sum(alpha)
     rec.add("b-monomial-norms", "||b^a||_r = r^|a| for the sup norm family",
-            norm_ok, {}, t0)
+            norm_ok, {})
 
-    t0 = time.perf_counter()
     sq = g1 = div_one(ctx)
     one = g1.key()
     # gamma, gamma^2 and 1 must be three keys at precision N, or the expansion
@@ -1084,9 +917,8 @@ def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
         and keys.get(g1.key()) == ctx.from_int(-2) \
         and keys.get(one) == ctx.from_int(1)
     rec.add("signed-expansion", "(gamma-1)^2 = d_{g^2} - 2 d_g + d_1",
-            exp_ok, {}, t0)
+            exp_ok, {})
 
-    t0 = time.perf_counter()
     f = random_domain_func(ctx, cfg.h, 4, rng)
     agree = True
     for alpha in [(1, 0), (1, 1), (2, 1)]:
@@ -1101,8 +933,7 @@ def exp_dist_norms(cfg: ExperimentConfig) -> list[CheckRecord]:
             agree = agree and (d.is_zero_at_precision() or d.gauss_valuation() > W)
     rec.add("evaluation-orders-agree",
             "expanding b^a and iterating (gamma-1) give the same action",
-            agree, {"budget": W}, t0)
-    return rec.records
+            agree, {"budget": W})
 
 
 @dataclass(frozen=True)
@@ -1110,7 +941,7 @@ class _Record:
     """An experiment, its domain as (holds(cfg), "condition: reason") pairs and
     its budgets as (size(cfg), limit, message with {} for the size) triples,
     each cheap at any config; `run` checks them before any work."""
-    func: Callable[[ExperimentConfig], list[CheckRecord]]
+    func: Callable[[ExperimentConfig, _Recorder], None]
     domain: tuple = ()
     budgets: tuple = ()
 
@@ -1122,6 +953,7 @@ def _action(degree, stated: str) -> tuple:
 
 
 _FORMAL = "truncates a formal-group series at degree {} = "
+_PRECISION = (lambda c: c.N, WORKING_PRECISION, "works at precision {} = N p-adic digits")
 
 EXPERIMENTS = {
     "j-homomorphism": _Record(exp_j_homomorphism, budgets=(
@@ -1136,10 +968,10 @@ EXPERIMENTS = {
                 "2N + 6 at h = 2 for the exact low-degree check, else 6"),)),
     "lie-weights": _Record(exp_lie_weights, budgets=(
         (lambda c: 3 * c.h * math.comb(c.h + 5, 6), LIE_WEIGHT_CALLS,
-         "applies Lie operators {} = 3 h C(h+5, 6) times"),)),
+         "applies Lie operators {} = 3 h C(h+5, 6) times"), _PRECISION)),
     "lie-bracket": _Record(exp_lie_bracket, budgets=(
         (lambda c: 2 * math.comb(c.h + 4, 5) * c.h ** 4, LIE_BRACKET_TRIALS,
-         "needs {} = 2 C(h+4, 5) h^4 bracket trials"),)),
+         "needs {} = 2 C(h+4, 5) h^4 bracket trials"), _PRECISION)),
     "finite-difference": _Record(exp_finite_difference, (
         (lambda c: c.h >= 2, "h >= 2: its derived-diagonal check acts on w_1"),
         (lambda c: c.N >= 6, "N >= 6: the quotient at k <= 5 keeps precision N - k > 0")),
@@ -1153,27 +985,35 @@ EXPERIMENTS = {
         # pass 64, and beyond every budget: the count stays cheap
         ((lambda c: math.comb(c.h - 1 + c.Dmax, min(c.h - 1, c.Dmax, 64))
           * (max(10, c.Dmax - 2) + 1), FN_STEPS,
-          "takes at least {} monomial steps, C(h-1+Dmax, h-1) in each of f_0..f_m"),)),
+          "takes at least {} monomial steps, C(h-1+Dmax, h-1) in each of f_0..f_m"),
+         _PRECISION)),
     "vs-stability": _Record(exp_vs_stability, budgets=(_action(lambda c: 7, "s + 2 for s <= 5"),)),
     "reachability": _Record(exp_reachability, (
         (lambda c: c.h >= 2, "h >= 2: its seeds need a coordinate w_1"),
-        (lambda c: c.h <= 8, "h <= 8: its degree-h seed fits under the truncation degree 8"))),
+        (lambda c: c.h <= 8, "h <= 8: its degree-h seed fits under the truncation degree 8")),
+        (_PRECISION,)),
     "kernels": _Record(exp_kernels, (
         (lambda c: c.N >= 2 * max(_vp(k, c.p) for k in range(1, 9)),
          "N >= 2 max_{k<=8} v_p(k): d(w^k)/dw pivots at valuation v_p(k), "
          "and a kernel is reliable only up to N/2"),),
         ((lambda c: math.comb(c.h + 7, 8), KERNEL_COLUMNS,
-          "needs {} = C(h+7, 8) monomial columns"),)),
+          "needs {} = C(h+7, 8) monomial columns"), _PRECISION)),
     "lf-diagnostic": _Record(exp_lf_diagnostic, (
         (lambda c: c.h >= 2, "h >= 2: its growing section is a power of the coordinate w_1"),),
-        ((lambda c: math.comb(c.h + 9, 10), LF_MONOMIALS, "spans {} = C(h+9, 10) monomials"),)),
+        ((lambda c: math.comb(c.h + 9, 10), LF_MONOMIALS, "spans {} = C(h+9, 10) monomials"),
+         _PRECISION)),
     "contraction": _Record(exp_contraction, budgets=(
         _action(lambda c: 14 if c.h == 2 else 10, "14 at h = 2, else 10"),)),
     "formal-group-axioms": _Record(exp_formal_group_axioms, budgets=(
-        (lambda c: max(20, c.p + 1), FORMAL_DEGREE, _FORMAL + "max(20, p + 1)"),)),
+        (lambda c: max(20, c.p + 1), FORMAL_DEGREE, _FORMAL + "max(20, p + 1)"), _PRECISION,
+        # past h = 4 POWER_DIGITS, p^h has more digits than the budget at any
+        # p >= 2: cap h so the float stays finite
+        (lambda c: math.floor(min(c.h, 4 * POWER_DIGITS) * math.log10(c.p)) + 1, POWER_DIGITS,
+         "writes the degree p^h of its height-h law, at least {} decimal digits, "
+         "into its report"))),
     "gm-identities": _Record(exp_gm_identities, budgets=(
-        (lambda c: c.Dmax, FORMAL_DEGREE, _FORMAL + "Dmax"),)),
-    "logarithm": _Record(exp_logarithm),
+        (lambda c: c.Dmax, FORMAL_DEGREE, _FORMAL + "Dmax"), _PRECISION)),
+    "logarithm": _Record(exp_logarithm, budgets=(_PRECISION,)),
     "height": _Record(exp_height, budgets=(
         (lambda c: c.p ** 3 + 2, FORMAL_DEGREE, _FORMAL + "p^3 + 2"),)),
     "level-structure": _Record(exp_level_structure, budgets=(
@@ -1215,7 +1055,9 @@ def run(cfg: ExperimentConfig) -> Report:
         used = size(cfg)
         if used > limit:
             raise ConfigInvalidError(f"{where} {message.format(used)}; the budget is {limit}")
-    return Report(cfg.experiment, cfg.to_json(), record.func(cfg))
+    rec = _Recorder(cfg)
+    record.func(cfg, rec)
+    return Report(cfg.experiment, cfg.to_json(), rec.records)
 
 
 def emit(report: Report, fmt: str = "json", with_timings: bool = False) -> bytes:

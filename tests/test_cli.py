@@ -32,7 +32,9 @@ def test_list_prints_each_records_statements(capsys):
     assert main(["list"]) == 0
     lines = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()
                  if " " in line)
-    assert "logarithm" not in lines  # no domain and no budget: the name alone
+    # logarithm has no domain and one budget, its working precision
+    assert lines["logarithm"] == (f"n <= {experiments.WORKING_PRECISION}: "
+                                  "works at precision n = N p-adic digits")
     for name, record in EXPERIMENTS.items():
         for _, statement in record.domain:
             assert statement in lines[name] and ": " in statement, name
@@ -164,8 +166,12 @@ def test_kernels_and_lf_diagnostic_exit_2_outside_their_domains(capsys):
 
 
 def test_known_failures_pass_or_exit_2_with_their_reason(capsys):
-    # each failed or raised before its domain was stated or its check mended
+    # each failed, raised or ran long before its domain was stated, its
+    # budget set or its check mended; the exits 2 come before any work
     for args, code, reason in (
+            (["logarithm", "--N", "100000"], 2, "works at precision 100000"),
+            (["formal-group-axioms", "--h", "100000"], 2, "decimal digits"),
+            (["formal-group-axioms", "--h", "1000000000000"], 2, "decimal digits"),
             (["finite-difference", "--h", "1"], 2, "needs h >= 2"),
             (["dheq-vs-matrix", "--h", "1"], 2, "needs h >= 2"),
             (["fn-sequence", "--p", "2"], 2, "needs N > v_p(m!)"),
@@ -181,7 +187,9 @@ def test_known_failures_pass_or_exit_2_with_their_reason(capsys):
             (["finite-difference", "--p", "2", "--h", "3"], 0, ""),
             (["dist-norms", "--p", "2", "--N", "3"], 0, ""),
             (["dist-norms", "--p", "2", "--h", "1", "--N", "4"], 0, "")):
+        t0 = time.perf_counter()
         assert main(["run", *args, "--out", os.devnull]) == code, args
+        assert code == 0 or time.perf_counter() - t0 < 1, args
         assert reason in capsys.readouterr().err, args
 
 
@@ -190,8 +198,9 @@ def test_known_failures_pass_or_exit_2_with_their_reason(capsys):
 _FUZZ_LIMITS = {
     "j-homomorphism": 400, "dheq-vs-matrix": 1_200, "action-law": 1_200, "lie-weights": 2_000,
     "lie-bracket": 30_000, "finite-difference": 700, "fn-sequence": 1_000,
-    "vs-stability": 1_200, "kernels": 45, "lf-diagnostic": 300, "contraction": 1_200,
-    "formal-group-axioms": 40, "gm-identities": 40, "height": 40, "level-structure": 26,
+    "vs-stability": 1_200, "reachability": 40, "kernels": 45, "lf-diagnostic": 300,
+    "contraction": 1_200, "formal-group-axioms": 40, "gm-identities": 40, "logarithm": 40,
+    "height": 40, "level-structure": 26,
     "endomorphism-frobenius": 40, "period-convergence": 2_000, "dist-norms": 1_200,
 }
 _FUZZ_EXPERIMENTS = {
@@ -251,8 +260,9 @@ def test_fn_sequence_compares_the_tail_beyond_dmax_12(dmax, tmp_path):
 def test_zero_trial_checks_fail(capsys):
     # at h=1 there is no domain variable, so the action checks count no trials;
     # run rejects h = 1, so the experiment is called past its record here
-    checks = EXPERIMENTS["dheq-vs-matrix"].func(ExperimentConfig("dheq-vs-matrix", p=3, h=1))
-    zero = [c for c in checks if c.measured.get("trials") == 0]
+    rec = experiments._Recorder(ExperimentConfig("dheq-vs-matrix", p=3, h=1))
+    EXPERIMENTS["dheq-vs-matrix"].func(rec.cfg, rec)
+    zero = [c for c in rec.records if c.measured.get("trials") == 0]
     assert [c.check_id for c in zero] == ["dheq-matches-matrix", "p-action-norms"]
     assert not any(c.passed for c in zero)
     assert main(["run", "dheq-vs-matrix", "--h", "1", "--p", "3"]) == 2
@@ -320,8 +330,8 @@ def test_timings_flag_included_when_requested():
 
 
 def test_check_runtimes_fit_in_the_run():
-    # these experiments time several checks from one start; each record's
-    # runtime must begin where the previous one ended, so none is counted twice
+    # each record's runtime begins where the previous one ended, so none is
+    # counted twice
     for name, kw in (("j-homomorphism", dict(p=3, h=2)), ("fn-sequence", dict(p=3, Dmax=6)),
                      ("vs-stability", dict(p=3)), ("period-convergence", dict(p=2, nmax=4))):
         t0 = time.perf_counter()
@@ -354,3 +364,19 @@ def test_second_check_runtime_covers_its_comparisons(monkeypatch):
     second = rep.checks[1]
     assert second.check_id == "Vs-dimension" and rep.passed
     assert second.runtime_ms >= 6 * sleep_s * 1000  # one dimension per s in 0..5
+
+
+def test_first_check_runtime_covers_the_setup(monkeypatch):
+    # the first record's runtime runs from the recorder's creation, so it
+    # covers make_context and whatever else precedes the first check
+    sleep_s = 0.05
+    make_context = experiments.make_context
+
+    def slow(*args):
+        time.sleep(sleep_s)
+        return make_context(*args)
+
+    monkeypatch.setattr(experiments, "make_context", slow)
+    for name in ("lie-weights", "kernels"):
+        rep = run(ExperimentConfig(name, p=3, h=2))
+        assert rep.passed and rep.checks[0].runtime_ms >= sleep_s * 1000, name

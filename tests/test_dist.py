@@ -62,8 +62,7 @@ def test_dirac_application_and_linearity():
     g2 = sample_gamma(CTX, 1, rng)
     x = Section(random_domain_func(CTX, 2, 5, rng), 2)
     assert apply_group_ring(GroupRingElem(CTX, [(CTX.one(), g1)]), x).eq(gamma_act(g1, x))
-    mu = GroupRingElem(CTX, [(CTX.one(), g1)]).add(
-        GroupRingElem(CTX, [(CTX.one(), g2)]).scale_int(3))
+    mu = GroupRingElem(CTX, [(CTX.one(), g1), (CTX.from_int(3), g2)])
     assert apply_group_ring(mu, x).eq(gamma_act(g1, x).add(gamma_act(g2, x).scale_int(3)))
 
 

@@ -18,7 +18,6 @@ from padiclt.padics import (
     scalar_sub,
 )
 from padiclt.divalg import (
-    J_COMPOSITION,
     DivElem,
     div_from_scalar,
     div_inv,
@@ -105,8 +104,7 @@ def test_j_identity_and_diagonal():
 
 
 def test_j_composition_order_frozen_by_oracle():
-    # exactly one order holds uniformly; the frozen constant records it
-    assert J_COMPOSITION == "left"
+    # j(ab) = j(a) j(b) holds on every pair, and the reversed order fails on some
     rng = random.Random(5)
     reversed_failures = 0
     for _ in range(20):

@@ -22,6 +22,18 @@ from padiclt.domain import (
 )
 
 
+def _evaluate(f, point):
+    # the value of f at a point of the domain (a list of h-1 scalars)
+    acc = f.ctx.zero()
+    for e, c in f.terms.items():
+        term = c
+        for i, a in enumerate(e):
+            for _ in range(a):
+                term = scalar_mul(term, point[i])
+        acc = scalar_add(acc, term)
+    return acc
+
+
 def _domain_point(ctx, h, rng):
     # |w_i| <= |p| <= |p|^(1 - i/h) keeps the point inside the domain
     return [scalar_mul_int(ctx.random_element(rng), ctx.p) for _ in range(h - 1)]
@@ -49,7 +61,7 @@ def test_gamma_action_pointwise():
             f10 = DomainFunc(ctx, h, 10, dict(f.terms))
             w = _domain_point(ctx, h, rng)
             moved, _ = _moved_point(j_embed(g), w, ctx, h)
-            assert gamma_act(g, f10).evaluate(w) == f10.evaluate(moved)
+            assert _evaluate(gamma_act(g, f10), w) == _evaluate(f10, moved)
 
 
 def test_twisted_section_pointwise():
@@ -62,7 +74,7 @@ def test_twisted_section_pointwise():
             x = Section(DomainFunc(ctx, 2, 10, dict(f.terms)), s)
             w = _domain_point(ctx, 2, rng)
             moved, den0 = _moved_point(j_embed(g), w, ctx, 2)
-            expected = x.func.evaluate(moved)
+            expected = _evaluate(x.func, moved)
             if s >= 0:
                 for _ in range(s):
                     expected = scalar_mul(expected, den0)
@@ -70,7 +82,7 @@ def test_twisted_section_pointwise():
                 inv = scalar_inv(den0)
                 for _ in range(-s):
                     expected = scalar_mul(expected, inv)
-            assert gamma_act(g, x).func.evaluate(w) == expected
+            assert _evaluate(gamma_act(g, x).func, w) == expected
 
 
 def test_parabolic_action_pointwise():
@@ -84,7 +96,7 @@ def test_parabolic_action_pointwise():
             f10 = DomainFunc(ctx, h, 10, dict(f.terms))
             w = _domain_point(ctx, h, rng)
             moved, _ = _moved_point(a, w, ctx, h)
-            assert p_act(a, f10).evaluate(w) == f10.evaluate(moved)
+            assert _evaluate(p_act(a, f10), w) == _evaluate(f10, moved)
 
 
 def test_parabolic_norm_preservation_on_generic_members():
