@@ -41,6 +41,8 @@ threshold and fails on no figure.
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
     domain.lie_act          all 16 operators x_ij on a dense random section of twist 2,
                             (p, h, N) = (3, 4, 8), Dmax=7
+    domain.reach_span       the lf-diagnostic ladder Dmax = 6, 8, 10 from w_1^3 at twist 2,
+                            (p, h, N) = (3, 4, 8), the growing case of outside-Vs-grows
     divalg.nrd              20 reduced norms of random units, (p, h, N) = (3, 4, 8)
     linalg.determinant      5 determinants of embedded random units, (p, h, N) = (2, 6, 8),
                             where the packed subset expansion has 64 states
@@ -160,6 +162,11 @@ def _lie_act():
     return lambda: [domain.lie_act(i, j, x) for i in range(4) for j in range(4)]
 
 
+def _reach_span():
+    x = domain.monomial_section(make_context(3, 4, 8), 4, 12, (3, 0, 0), 2)
+    return lambda: [domain.reach_span(x, dmax) for dmax in (6, 8, 10)]
+
+
 def _units(p: int = 3, h: int = 4, count: int = 20):
     ctx = make_context(p, h, 8)
     rng = random.Random(4)
@@ -214,6 +221,7 @@ LAYERS = {
     "domain.operator_kernel": _operator_kernel,
     "padics.frobenius": _frobenius,
     "domain.lie_act": _lie_act,
+    "domain.reach_span": _reach_span,
     "divalg.nrd": _nrd,
     "linalg.determinant": _determinant,
     "linalg.determinant_h8": lambda: _determinant(8),

@@ -38,10 +38,16 @@ f at s = 0 does not meet den, and _act returns it as it is.
 
 Each Lie operator is one monomial map: the (i,j) matrix unit (w_0 := 1) sends
 w^a to k w^(a - e_j + e_i), k = a_j for j != 0 and k = s - |a| for j = 0 (s
-the twist).  lie_act scales each coefficient by k at its own precision and
-drops what is 0 there or, for i != 0 = j, lands above Dmax.  That is exactly
-the composition of d/dw_j, w_i * and s f - sum_l w_l df/dw_l: s c and |a| c
-have the precision of c, so s c - |a| c is (s - |a|) c whichever was 0.
+the twist).  _lie_move is that rule, and the one place that computes k and
+the target: it gives nothing when k = 0 or, for i != 0 = j, when the target
+lands above Dmax.  lie_act scales each coefficient by k at its own precision
+and drops what is 0 there.  That is exactly the composition of d/dw_j, w_i *
+and s f - sum_l w_l df/dw_l: s c and |a| c have the precision of c, so
+s c - |a| c is (s - |a|) c whichever was 0.  lie_table reads the rule as
+{monomial: k mod p^N} per (operator, monomial), for lie-bracket and for the
+rows of operator_kernel.  reach_span follows its moves i != j in
+characteristic 0: an edge exists whenever k is a nonzero integer, even where
+p^N divides k and lie_act gives 0.
 """
 
 from __future__ import annotations
@@ -309,6 +315,28 @@ def p_act(a: list[list[PadicScalar]], f: DomainFunc) -> DomainFunc:
     return _act(f, a, 0)
 
 
+def _lie_move(i: int, j: int, a: tuple, s: int, dmax: int) -> tuple[int, tuple] | None:
+    """(k, b) with x_ij(w^a phi_0^s) = k w^b phi_0^s, or None when k = 0 or,
+    for i != 0 = j, when b would pass total degree dmax."""
+    if j:
+        k = a[j - 1]
+    else:
+        d = sum(a)
+        k = s - d
+        if i and d >= dmax:
+            return None
+    if not k:
+        return None
+    if i == j:
+        return k, a
+    b = list(a)
+    if j:
+        b[j - 1] -= 1
+    if i:
+        b[i - 1] += 1
+    return k, tuple(b)
+
+
 def lie_act(i: int, j: int, x: Section) -> Section:
     """The operator of the (i,j) matrix unit on sections (w_0 := 1):
 
@@ -324,22 +352,32 @@ def lie_act(i: int, j: int, x: Section) -> Section:
     powers: dict[int, int] = {}  # p^prec, once per precision met
     out = {}
     for a, c in f.terms.items():
-        k = a[j - 1] if j else s - sum(a)
-        if not k or (i and not j and sum(a) >= dmax):
+        move = _lie_move(i, j, a, s, dmax)
+        if move is None:
             continue
+        k, b = move
         prec = c.prec
         pn = powers.get(prec)
         if pn is None:
             pn = powers[prec] = ctx.p ** prec
         coords = tuple([v * k % pn for v in c.coords])
         if coords != zero:
-            b = list(a)
-            if j:
-                b[j - 1] -= 1
-            if i:
-                b[i - 1] += 1
-            out[tuple(b)] = PadicScalar(ctx, coords, c.prec)
+            out[b] = PadicScalar(ctx, coords, c.prec)
     return Section(f._build(out, filtered=True), s)
+
+
+def lie_table(s: int, ops, exps, dmax: int, pn: int) -> dict:
+    """{(op, a): {b: k mod pn}}, x_op(w^a phi_0^s) = k w^b phi_0^s truncated at
+    degree dmax, for each operator op = (i, j) and each exponent a in `exps`;
+    pn is the modulus p^N of the coefficients.  The image is {} where
+    k = 0 mod pn or b passes dmax."""
+    table = {}
+    for a in exps:
+        for op in ops:
+            move = _lie_move(*op, a, s, dmax)
+            k = move[0] % pn if move else 0
+            table[op, a] = {move[1]: k} if k else {}
+    return table
 
 
 def lie_derived_operator(delta: DivElem, x: Section) -> Section:
@@ -426,41 +464,23 @@ def reach_span(x: Section, dmax: int) -> ReachResult:
 
     The diagonal operators separate monomials (eigenvalue tuples
     (s - |a|, a_1, ..., a_{h-1}) are distinct), so the closure of a single
-    vector is spanned by monomials; the off-diagonal moves carry integer
-    multipliers a_j and (s - |a|), and an edge exists exactly when the
-    multiplier is a nonzero integer.
+    vector is spanned by monomials.  Its edges are the _lie_move moves of the
+    operators i != j, whose multipliers a_j and s - |a| are integers: an edge
+    exists exactly when the multiplier is a nonzero integer.
     """
     if x.is_zero_at_precision():
         raise ValueError("reach_span of a zero section")
-    h = x.func.h
-    s = x.twist
-    seed = {e for e in x.func.terms if sum(e) <= dmax}
-    frontier = list(seed)
-    seen = set(seed)
+    h, s = x.func.h, x.twist
+    ops = [(i, j) for i in range(h) for j in range(h) if i != j]
+    seen = {e for e in x.func.terms if sum(e) <= dmax}
+    frontier = list(seen)
     while frontier:
-        e = frontier.pop()
-        deg = sum(e)
-        nxt = []
-        for j in range(1, h):
-            if e[j - 1] > 0:
-                low = list(e)
-                low[j - 1] -= 1
-                nxt.append(tuple(low))  # x_{0j}, multiplier a_j != 0
-                for i in range(1, h):
-                    if i != j:
-                        ex = list(e)
-                        ex[j - 1] -= 1
-                        ex[i - 1] += 1
-                        nxt.append(tuple(ex))  # x_{ij}, multiplier a_j != 0
-        if s != deg and deg + 1 <= dmax:
-            for i in range(1, h):
-                up = list(e)
-                up[i - 1] += 1
-                nxt.append(tuple(up))  # x_{i0}, multiplier s - |a| != 0
-        for t in nxt:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
+        a = frontier.pop()
+        for i, j in ops:
+            move = _lie_move(i, j, a, s, dmax)
+            if move is not None and move[1] not in seen:
+                seen.add(move[1])
+                frontier.append(move[1])
     return ReachResult(seen, len(seen), s)
 
 
@@ -483,19 +503,14 @@ def operator_kernel(ctx: UnramContext, h: int, ops: list[tuple[int, int]],
     else:
         basis_exps = monomials(h, dmax)
     col_of = {e: k for k, e in enumerate(basis_exps)}
-    ncols = len(basis_exps)
-    # equations indexed by (op, target monomial); target monomials that
-    # overflow the space still constrain (the operator on actual functions)
-    raw: dict[tuple, dict[int, PadicScalar]] = {}
-    for (i, j) in ops:
-        for e in basis_exps:
-            img = lie_act(i, j, monomial_section(ctx, h, dmax + 1, e, s))
-            for te, tc in img.func.terms.items():
-                key = (i, j, te)
-                row = raw.setdefault(key, {})
-                col = col_of[e]
-                row[col] = scalar_add(row[col], tc) if col in row else tc
-    result: KernelResult = kernel_basis([raw[key] for key in sorted(raw)], ncols, ctx, ctx.N)
+    # one equation per (op, target monomial), on the one column an operator
+    # maps there; targets that overflow the space still constrain (the
+    # operator on actual functions)
+    table = lie_table(s, ops, basis_exps, dmax + 1, ctx.p ** ctx.N)
+    rows = {(*op, b): {col_of[a]: ctx.from_int(k)}
+            for (op, a), img in table.items() for b, k in img.items()}
+    result: KernelResult = kernel_basis([rows[key] for key in sorted(rows)], len(basis_exps),
+                                        ctx, ctx.N)
     funcs = []
     for vec in result.basis:
         terms = {basis_exps[k]: v for k, v in enumerate(vec) if not v.is_zero_at_precision()}

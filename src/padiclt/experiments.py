@@ -24,7 +24,7 @@ from .divalg import (
 from .domain import (
     DomainFunc, Section, contraction_profile, domain_const, domain_monomial,
     domain_var, fn_sequence, gamma_act, in_parabolic, lf_diagnostic, lie_act,
-    lie_finite_difference, monomial_section, monomials, operator_kernel, p_act,
+    lie_finite_difference, lie_table, monomial_section, monomials, operator_kernel, p_act,
     random_domain_func, reach_span,
 )
 from .linalg import determinant
@@ -361,22 +361,6 @@ def exp_lie_weights(cfg: ExperimentConfig, rec: _Recorder) -> None:
             killed, {})
 
 
-def _lie_table(ctx, h: int, s: int, ops, exps, table: dict) -> None:
-    """Add x_op(w^e phi_0^s) to `table` under (op, e), for each op and each e in
-    `exps`, as {e': k mod p^N}: the terms of lie_act on the monomial section
-    of coefficient 1, each checked to be an integer at precision N."""
-    for e in exps:
-        x = monomial_section(ctx, h, 7, e, s)
-        for op in ops:
-            img = {}
-            for b, c in lie_act(*op, x).func.terms.items():
-                if c.prec != ctx.N or any(c.coords[1:]):
-                    raise ValueError(f"x_{op[0]}{op[1]} of a monomial has the coefficient "
-                                     f"{c!r}, not an integer mod p^{ctx.N}")
-                img[b] = c.coords[0]
-            table[op, e] = img
-
-
 def _add_scaled(out: dict, f: dict, k: int, pn: int) -> None:
     """out += k f for {monomial: integer mod pn} dicts, dropping what cancels."""
     for b, c in f.items():
@@ -391,27 +375,24 @@ def exp_lie_bracket(cfg: ExperimentConfig, rec: _Recorder) -> None:
     """[x_ij, x_kl] = d_jk x_il - d_li x_kj on the monomial sections of degree <= 5.
 
     Every operator is a monomial map with integer multipliers, so for each
-    twist lie_act is called once per operator on each monomial section that
-    occurs (degree <= 5, and their images), and its image is kept as a table
-    {monomial: integer mod p^N}.  The images x_b(x) are table entries, and
-    x_a(x_b(x)) is the entry of x_a on each term of x_b(x) scaled by its
-    integer, taken for each unordered pair {a, b}.  Every section here is a
-    monomial at precision N and lie_act keeps precision and Dmax, so the
+    twist domain.lie_table gives each operator's image of each monomial that
+    occurs (degree <= 5, and their images) as {monomial: integer mod p^N}.
+    The images x_b(x) are table entries, and x_a(x_b(x)) is the entry of x_a
+    on each term of x_b(x) scaled by its integer, taken for each unordered
+    pair {a, b}.  Every section here is a monomial at precision N, so the
     identity is checked exactly with its negative terms moved across:
     x_a x_b x + d_li x_kj x = x_b x_a x + d_jk x_il x.  The trial (b, a) is the
     same equation with its sides swapped, so one comparison decides both.
     """
     h = cfg.h
-    ctx = make_context(cfg.p, h, cfg.N)
     ops = [(i, j) for i in range(h) for j in range(h)]
     exps = monomials(h, 5)
     pn = cfg.p ** cfg.N
     verdicts = []
     for s in (0, 2):
-        table: dict = {}
-        _lie_table(ctx, h, s, ops, exps, table)
+        table = lie_table(s, ops, exps, 7, pn)
         images = {b for img in table.values() for b in img}
-        _lie_table(ctx, h, s, ops, sorted(images.difference(exps)), table)
+        table.update(lie_table(s, ops, images.difference(exps), 7, pn))
 
         def act(op, f):
             out = {}
@@ -1015,7 +996,7 @@ EXPERIMENTS = {
         (lambda c: c.Dmax, FORMAL_DEGREE, _FORMAL + "Dmax"), _PRECISION)),
     "logarithm": _Record(exp_logarithm, budgets=(_PRECISION,)),
     "height": _Record(exp_height, budgets=(
-        (lambda c: c.p ** 3 + 2, FORMAL_DEGREE, _FORMAL + "p^3 + 2"),)),
+        (lambda c: c.p ** 3 + 2, FORMAL_DEGREE, _FORMAL + "p^3 + 2"), _PRECISION)),
     "level-structure": _Record(exp_level_structure, budgets=(
         (lambda c: 6 * (c.p - 1) + 2, LEVEL_DEGREE,
          "truncates its Lubin-Tate group at degree {} = 6(p-1) + 2"),)),

@@ -23,7 +23,7 @@ def test_bench_layers_smoke(tmp_path):
         "domain.gamma_act", "domain.gamma_act_h4", "domain.den_power",
         "linalg.kernel_basis", "domain.operator_kernel",
         "linalg.determinant", "linalg.determinant_h8",
-        "padics.frobenius", "domain.lie_act", "divalg.nrd", "divalg.j_embed",
+        "padics.frobenius", "domain.lie_act", "domain.reach_span", "divalg.nrd", "divalg.j_embed",
         "divalg.mat_mul", "divalg.div_mul", "divalg.div_inv"}
     assert all(t > 0 for t in report["median_s"].values())
 

@@ -170,6 +170,8 @@ def test_known_failures_pass_or_exit_2_with_their_reason(capsys):
     # budget set or its check mended; the exits 2 come before any work
     for args, code, reason in (
             (["logarithm", "--N", "100000"], 2, "works at precision 100000"),
+            (["height", "--N", "4001"], 2, "works at precision 4001"),
+            (["height", "--N", "4000"], 0, ""),
             (["formal-group-axioms", "--h", "100000"], 2, "decimal digits"),
             (["formal-group-axioms", "--h", "1000000000000"], 2, "decimal digits"),
             (["finite-difference", "--h", "1"], 2, "needs h >= 2"),

@@ -1056,6 +1056,52 @@ def test_lie_act_negative_twist():
             assert out.terms[e].key() == scalar_mul_int(c, s - sum(e)).key()
 
 
+def _reference_closure(x: Section, dmax: int) -> set:
+    """The monomials of degree <= dmax reached from the terms of x by
+    _reference_lie_act, each step taken on a monomial of coefficient 1."""
+    ctx, h, s = x.func.ctx, x.func.h, x.twist
+    seen = {e for e in x.func.terms if sum(e) <= dmax}
+    frontier = list(seen)
+    while frontier:
+        y = monomial_section(ctx, h, dmax, frontier.pop(), s)
+        for i in range(h):
+            for j in range(h):
+                for b in _reference_lie_act(i, j, y).func.terms:
+                    if b not in seen:
+                        seen.add(b)
+                        frontier.append(b)
+    return seen
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 4), st.integers(0, 6),
+       st.integers(-4, 6), st.integers(0, 10 ** 6))
+def test_reach_span_is_the_closure_of_the_operators(p, h, dmax, s, seed):
+    # every multiplier a_j or s - |a| has absolute value at most dmax + |s|;
+    # at the least N with p^N above that, none vanishes mod p^N
+    n = 1
+    while p ** n <= dmax + abs(s):
+        n += 1
+    ctx = make_context(p, h, n)
+    rng = random.Random(seed)
+    exps = monomials(h, dmax)
+    seeds = rng.sample(exps, min(len(exps), rng.randint(1, 3)))
+    x = Section(DomainFunc(ctx, h, dmax, {e: ctx.one() for e in seeds}), s)
+    assert reach_span(x, dmax).monomials == _reference_closure(x, dmax)
+
+
+def test_reach_span_keeps_edges_whose_multiplier_p_to_the_n_divides():
+    # reach_span is a span in characteristic 0: from w_1^2 at s = 0 every
+    # multiplier is +-2, so at p = 2, N = 1 each operator kills w_1^2, yet
+    # the span is all 15 monomials of degree <= 4
+    ctx = make_context(2, 3, 1)
+    x = monomial_section(ctx, 3, 4, (2, 0), 0)
+    assert reach_span(x, 4).monomials == set(monomials(3, 4))
+    assert len(monomials(3, 4)) == 15
+    assert lie_act(0, 1, x).is_zero_at_precision()
+    assert _reference_closure(x, 4) == {(2, 0)}
+
+
 def _assert_linear_ops_match(f: DomainFunc, g: DomainFunc) -> None:
     for got, want in ((f.add(g), _reference_add(f, g)), (f.sub(g), _reference_sub(f, g)),
                       (f.neg(), _reference_neg(f))):
