@@ -34,8 +34,9 @@ threshold and fails on no figure.
                             Horner scheme of the substitution has a middle level
     domain.den_power        den^(-8) for the denominator of a Gamma_1 element,
                             (p, h, N) = (3, 3, 8), Dmax=6 (action-law's s = -2, D = 6)
-    linalg.kernel_basis     the system of operator_kernel for x_01, x_02 at
-                            (p, h, N) = (3, 3, 8), Dmax=8 (criterion 12's n-row kernel)
+    linalg.kernel_basis     the rows {source column: k}, one per (operator, target), that
+                            lie_table gives x_01, x_02 at (p, h, N) = (3, 3, 8), Dmax=8
+                            (criterion 12's n-row kernel, solved by elimination)
     domain.operator_kernel  the whole operator_kernel for x_01, x_02, x_03 at
                             (p, h, N) = (3, 4, 8), Dmax=8 (criterion 12's largest system)
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
@@ -124,18 +125,12 @@ def _den_power():
 
 def _kernel_basis():
     ctx = make_context(3, 3, 8)
-    systems = []
-
-    def capture(*args):
-        systems.append(args)
-        return kernel_basis(*args)
-
-    domain.kernel_basis = capture
-    try:
-        domain.operator_kernel(ctx, 3, [(0, 1), (0, 2)], 0, 8)
-    finally:
-        domain.kernel_basis = kernel_basis
-    (args,) = systems
+    exps = domain.monomials(3, 8)
+    col_of = {e: k for k, e in enumerate(exps)}
+    table = domain.lie_table(0, [(0, 1), (0, 2)], exps, 9, ctx.p ** ctx.N)
+    rows = {(*op, b): {col_of[a]: ctx.from_int(k)}
+            for (op, a), img in table.items() for b, k in img.items()}
+    args = ([rows[key] for key in sorted(rows)], len(exps), ctx, ctx.N)
     return lambda: kernel_basis(*args)
 
 

@@ -44,10 +44,14 @@ lands above Dmax.  lie_act scales each coefficient by k at its own precision
 and drops what is 0 there.  That is exactly the composition of d/dw_j, w_i *
 and s f - sum_l w_l df/dw_l: s c and |a| c have the precision of c, so
 s c - |a| c is (s - |a|) c whichever was 0.  lie_table reads the rule as
-{monomial: k mod p^N} per (operator, monomial), for lie-bracket and for the
-rows of operator_kernel.  reach_span follows its moves i != j in
-characteristic 0: an edge exists whenever k is a nonzero integer, even where
-p^N divides k and lie_act gives 0.
+{monomial: k mod p^N} per (operator, monomial), for lie-bracket and for
+operator_kernel.  reach_span follows its moves i != j in characteristic 0:
+an edge exists whenever k is a nonzero integer, even where p^N divides k and
+lie_act gives 0.  Since each operator is one monomial map, an equation
+(operator, target) of operator_kernel has one entry, k on its source column:
+least-valuation elimination pivots each column on its entry of least v_p(k)
+and clears the column's other equations, touching no other column, and
+operator_kernel reads that result off the columns.
 """
 
 from __future__ import annotations
@@ -57,13 +61,14 @@ from dataclasses import dataclass
 
 from .divalg import DivElem, div_one, j_embed
 from .formal import _binom_int
-from .linalg import KernelResult, determinant, kernel_basis, pivot_divider
+from .linalg import determinant, pivot_divider
 from .padics import (
     NonUnitError,
     PadicScalar,
     PrecisionLossError,
     UnramContext,
     ZeroAtPrecisionError,
+    _vp,
     frobenius,
     scalar_add,
     scalar_inv,
@@ -493,29 +498,20 @@ class KernelComputation:
 
 def operator_kernel(ctx: UnramContext, h: int, ops: list[tuple[int, int]],
                     s: int, dmax: int, within_vs: bool = False) -> KernelComputation:
-    """Joint kernel of the listed (i, j) operators on degree <= dmax functions.
-
-    Columns are monomials in graded-lex order; elimination pivots on minimal
-    valuation (ties graded-lex), flagged unreliable past valuation N/2.
-    """
+    """Joint kernel of the listed (i, j) operators on degree <= dmax functions, read
+    off lie_table's columns (see the module docstring): the free monomials, graded-lex,
+    at coefficient 1, unreliable past pivot valuation N/2.  Targets past dmax still
+    constrain (the operators on actual functions)."""
+    exps = monomials(h, dmax)
     if within_vs:
-        basis_exps = [e for e in monomials(h, dmax) if sum(e) <= s]
-    else:
-        basis_exps = monomials(h, dmax)
-    col_of = {e: k for k, e in enumerate(basis_exps)}
-    # one equation per (op, target monomial), on the one column an operator
-    # maps there; targets that overflow the space still constrain (the
-    # operator on actual functions)
-    table = lie_table(s, ops, basis_exps, dmax + 1, ctx.p ** ctx.N)
-    rows = {(*op, b): {col_of[a]: ctx.from_int(k)}
-            for (op, a), img in table.items() for b, k in img.items()}
-    result: KernelResult = kernel_basis([rows[key] for key in sorted(rows)], len(basis_exps),
-                                        ctx, ctx.N)
-    funcs = []
-    for vec in result.basis:
-        terms = {basis_exps[k]: v for k, v in enumerate(vec) if not v.is_zero_at_precision()}
-        funcs.append(DomainFunc(ctx, h, dmax, terms))
-    return KernelComputation(funcs, result.reliable, result.max_pivot_valuation)
+        exps = [e for e in exps if sum(e) <= s]
+    pivot_v: dict[tuple[int, ...], int] = {}  # column -> least v_p of its entries
+    for (_, a), img in lie_table(s, ops, exps, dmax + 1, ctx.p ** ctx.N).items():
+        for k in img.values():  # 0 < k < p^N
+            pivot_v[a] = min(_vp(k, ctx.p), pivot_v.get(a, ctx.N))
+    basis = [DomainFunc(ctx, h, dmax, {a: ctx.one()}) for a in exps if a not in pivot_v]
+    top = max(pivot_v.values(), default=0)
+    return KernelComputation(basis, top <= ctx.N // 2, top)
 
 
 @dataclass

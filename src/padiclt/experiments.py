@@ -44,7 +44,7 @@ SCHEMA_VERSION = 1
 # Size budgets, each stated with the size it bounds in EXPERIMENTS; times
 # are with Python 3.11 on a 2-vCPU x86-64 host.
 LIE_BRACKET_TRIALS = 200_000   # h = 5: 157,500 trials; h = 6: 653,184
-KERNEL_COLUMNS = 1_000         # h = 5: 495 columns; h = 6: 1,287
+KERNEL_COLUMNS = 1_000         # h = 5: 495 columns in about 0.01 s; h = 6: 1,287 in 0.02 s
 LIE_WEIGHT_CALLS = 160_000     # h = 10: 150,150 calls in about 0.8 s; h = 11: 264,264
 LF_MONOMIALS = 10_000          # h = 7: 8,008 in about 0.3 s; h = 8: 19,448 in 0.8 s
 DIFFERENCE_DIGITS = 3_000      # N = 8: h = 5 has 2,800 in about 1 s, h = 6 6,048 in 3 s

@@ -23,6 +23,9 @@ part is inverted once per step, and only the rows with a nonzero entry in
 the pivot column are updated, over the pivot row's nonzero columns (their
 other entries are only cut to the new precision).  Scalars are built only
 for the returned basis.
+
+No experiment calls kernel_basis: domain.operator_kernel reads its one-entry
+systems off their columns.  The tests hold that read-off to kernel_basis.
 """
 
 from __future__ import annotations

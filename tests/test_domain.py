@@ -340,6 +340,52 @@ def test_vs_stability_support():
             assert all(sum(t) <= s for t in y.func.terms)
 
 
+def _eliminated_kernel(ctx, h, ops, s, dmax, within_vs=False):
+    """operator_kernel by general elimination: the one-entry rows of lie_table,
+    one per (operator, target monomial), handed to linalg.kernel_basis."""
+    exps = [e for e in monomials(h, dmax) if not within_vs or sum(e) <= s]
+    col_of = {e: k for k, e in enumerate(exps)}
+    table = domain.lie_table(s, ops, exps, dmax + 1, ctx.p ** ctx.N)
+    rows = {(*op, b): {col_of[a]: ctx.from_int(k)}
+            for (op, a), img in table.items() for b, k in img.items()}
+    result = linalg.kernel_basis([rows[key] for key in sorted(rows)], len(exps), ctx, ctx.N)
+    funcs = [DomainFunc(ctx, h, dmax, {exps[k]: v for k, v in enumerate(vec)
+                                       if not v.is_zero_at_precision()})
+             for vec in result.basis]
+    return domain.KernelComputation(funcs, result.reliable, result.max_pivot_valuation)
+
+
+def _kernel_outcome(k):
+    return ([{e: c.key() for e, c in f.terms.items()} for f in k.basis], k.reliable,
+            k.max_pivot_valuation)
+
+
+@st.composite
+def _operator_systems(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    h = draw(st.integers(1, 4))
+    op = st.tuples(st.integers(0, h - 1), st.integers(0, h - 1))
+    return (make_context(p, h, draw(st.integers(1, 6))), h,
+            draw(st.lists(op, max_size=h * h + 2)), draw(st.integers(-3, 6)),
+            draw(st.integers(0, 6)), draw(st.booleans()))
+
+
+@given(_operator_systems())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_operator_kernel_matches_elimination(system):
+    # operators in any number, diagonal and repeated ones included, with targets
+    # past Dmax and twists on either side of the degrees, with and without V_s
+    assert _kernel_outcome(operator_kernel(*system)) == _kernel_outcome(
+        _eliminated_kernel(*system))
+
+
+def test_operator_kernel_pivot_past_half_precision():
+    # d/dw on w^0..w^8 at (p, N) = (2, 3): 8 = 0 mod 2^3 leaves w^8 free, and
+    # w^4 pivots at valuation 2 > 3 // 2
+    k = operator_kernel(make_context(2, 2, 3), 2, [(0, 1)], 0, 8)
+    assert _kernel_outcome(k) == ([{(0,): ((1, 0), 3)}, {(8,): ((1, 0), 3)}], False, 2)
+
+
 def test_kernel_vectors_are_annihilated():
     nops = [(0, 1), (0, 2), (1, 2)]
     k = operator_kernel(CTX3, 3, nops, 3, 5, within_vs=True)

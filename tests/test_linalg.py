@@ -146,19 +146,26 @@ def test_sparse_rows_empty_and_zero_at_precision():
                                                      [((0, 0), 5), ((1, 0), 5)]]
 
 
-def test_kernel_basis_matches_reference_on_operator_kernels(monkeypatch):
-    calls = []
+def _operator_rows(ctx, h, ops, s, dmax, within_vs=False):
+    """The system of the joint kernel of Lie operators: one row {source column: k}
+    per (operator, target monomial) of domain.lie_table, sorted by that key."""
+    exps = [e for e in domain.monomials(h, dmax) if not within_vs or sum(e) <= s]
+    col_of = {e: k for k, e in enumerate(exps)}
+    table = domain.lie_table(s, ops, exps, dmax + 1, ctx.p ** ctx.N)
+    rows = {(*op, b): {col_of[a]: ctx.from_int(k)}
+            for (op, a), img in table.items() for b, k in img.items()}
+    return [rows[key] for key in sorted(rows)], len(exps)
 
-    def checked(rows, ncols, ctx, prec):
-        calls.append(_assert_same(rows, ncols, ctx, prec))
-        return kernel_basis(rows, ncols, ctx, prec)
 
-    monkeypatch.setattr(domain, "kernel_basis", checked)
+def test_kernel_basis_matches_reference_on_operator_kernels():
     ctx = make_context(3, 3, 8)
+    ctx2 = make_context(2, 2, 6)
     nops = [(i, j) for i in range(3) for j in range(3) if i != j]
-    domain.operator_kernel(ctx, 3, [(0, 1), (0, 2)], 0, 5)
-    domain.operator_kernel(ctx, 3, nops, 3, 4, within_vs=True)
-    domain.operator_kernel(make_context(2, 2, 6), 2, [(0, 1), (1, 0)], 1, 6)
+    calls = [_assert_same(*_operator_rows(c, h, ops, s, dmax, within_vs), c, c.N)
+             for c, h, ops, s, dmax, within_vs in (
+                 (ctx, 3, [(0, 1), (0, 2)], 0, 5, False),
+                 (ctx, 3, nops, 3, 4, True),
+                 (ctx2, 2, [(0, 1), (1, 0)], 1, 6, False))]
     assert len(calls) == 3 and all(isinstance(c, tuple) for c in calls)
 
 
