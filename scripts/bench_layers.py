@@ -40,6 +40,9 @@ threshold and fails on no figure.
     domain.operator_kernel  the whole operator_kernel for x_01, x_02, x_03 at
                             (p, h, N) = (3, 4, 8), Dmax=8 (criterion 12's largest system)
     padics.frobenius        8,000 calls sigma^k(a), k in (1, 2, 3, 1), at (p, e, N) = (3, 4, 8)
+    padics.make_context     the contexts (p, e, N) = (3, 3, 8), (3, 4, 8), (5, 3, 32) and
+                            (2, 2, 1), the ones bench/run.py's setup_s builds over its
+                            three workloads
     domain.lie_act          all 16 operators x_ij on a dense random section of twist 2,
                             (p, h, N) = (3, 4, 8), Dmax=7
     domain.reach_span       the lf-diagnostic ladder Dmax = 6, 8, 10 from w_1^3 at twist 2,
@@ -151,6 +154,10 @@ def _frobenius():
     return run
 
 
+def _make_context():
+    return lambda: [make_context(*c) for c in ((3, 3, 8), (3, 4, 8), (5, 3, 32), (2, 2, 1))]
+
+
 def _lie_act():
     ctx = make_context(3, 4, 8)
     x = domain.Section(domain.random_domain_func(ctx, 4, 7, random.Random(3)), 2)
@@ -215,6 +222,7 @@ LAYERS = {
     "linalg.kernel_basis": _kernel_basis,
     "domain.operator_kernel": _operator_kernel,
     "padics.frobenius": _frobenius,
+    "padics.make_context": _make_context,
     "domain.lie_act": _lie_act,
     "domain.reach_span": _reach_span,
     "divalg.nrd": _nrd,

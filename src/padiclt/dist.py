@@ -66,22 +66,15 @@ class BMonomialSet:
             raise ValueError("base tuple and exponent lengths differ")
 
 
-def dist_norm_r(coeffs: dict[tuple[int, ...], PadicScalar | int],
-                r: Fraction, p: int) -> Fraction:
-    """sup |d_alpha| r^|alpha| over the finitely many stored terms, exact."""
+def dist_norm_r(coeffs: dict[tuple[int, ...], int], r: Fraction, p: int) -> Fraction:
+    """sup |d_alpha| r^|alpha| over the finitely many stored integer terms, exact."""
     if not Fraction(1, p) <= r < 1:
         raise ValueError("r must lie in [1/p, 1)")
     best = Fraction(0)
     for alpha, d in coeffs.items():
-        if isinstance(d, int):
-            if d == 0:
-                continue
-            v = _vp(d, p)
-        else:
-            v = d.valuation()
-            if v is None:
-                continue
-        val = Fraction(1, p ** v) * r ** sum(alpha)
+        if d == 0:
+            continue
+        val = Fraction(1, p ** _vp(d, p)) * r ** sum(alpha)
         if val > best:
             best = val
     return best

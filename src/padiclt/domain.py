@@ -65,9 +65,9 @@ from .linalg import determinant, pivot_divider
 from .padics import (
     NonUnitError,
     PadicScalar,
-    PrecisionLossError,
     UnramContext,
     ZeroAtPrecisionError,
+    _shift_down,
     _vp,
     frobenius,
     scalar_add,
@@ -119,15 +119,8 @@ class DomainFunc(TruncSeries):
 
     def scale_down(self, k: int) -> "DomainFunc":
         """Exact division of every coefficient by p^k."""
-        pk = self.ctx.p ** k
-        out = {}
-        for e, c in self.terms.items():
-            if any(x % pk for x in c.coords):
-                raise PrecisionLossError(f"coefficient at {e} not divisible by p^{k}")
-            if c.prec <= k:
-                raise PrecisionLossError(f"precision exhausted dividing by p^{k}")
-            out[e] = PadicScalar(self.ctx, tuple(x // pk for x in c.coords), c.prec - k)
-        return self._build(out)
+        return self._build({e: _shift_down(c, k) for e, c in self.terms.items()},
+                           filtered=True)
 
     def gauss_valuation(self) -> int:
         """vD(f) in units of v(p)/h."""

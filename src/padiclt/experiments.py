@@ -31,7 +31,10 @@ from .linalg import determinant
 from .padics import (
     _PRIME_BOUND, _is_prime, _vp, make_context, scalar_inv, scalar_mul, scalar_sub,
 )
-from .series import IntModRing, TruncSeries, UnramRing, compose_univariate, series_var, substitute_two
+from .series import (
+    IntModRing, TruncSeries, UnramRing, compose_univariate, geometric_inverse, series_var,
+    substitute_two,
+)
 
 
 class ConfigInvalidError(ValueError):
@@ -44,7 +47,9 @@ SCHEMA_VERSION = 1
 # Size budgets, each stated with the size it bounds in EXPERIMENTS; times
 # are with Python 3.11 on a 2-vCPU x86-64 host.
 LIE_BRACKET_TRIALS = 200_000   # h = 5: 157,500 trials; h = 6: 653,184
-KERNEL_COLUMNS = 1_000         # h = 5: 495 columns in about 0.01 s; h = 6: 1,287 in 0.02 s
+KERNEL_COLUMNS = 13_000        # p = 3, N = 8, with peak RSS: h = 6 has 1,287 columns in
+                               # 0.03 s, 24 MB; h = 8 6,435 in 0.15 s, 37 MB; h = 9 12,870
+                               # in 0.4 s, 55 MB; h = 10 24,310 in 0.9 s, 90 MB
 LIE_WEIGHT_CALLS = 160_000     # h = 10: 150,150 calls in about 0.8 s; h = 11: 264,264
 LF_MONOMIALS = 10_000          # h = 7: 8,008 in about 0.3 s; h = 8: 19,448 in 0.8 s
 DIFFERENCE_DIGITS = 3_000      # N = 8: h = 5 has 2,800 in about 1 s, h = 6 6,048 in 3 s
@@ -250,18 +255,8 @@ def _matrix_oracle_gens(gamma, ctx, h, dmax):
             e[r - 1] = 1
             terms[tuple(e)] = mat[r][c]
         cols.append(DomainFunc(ctx, h, dmax, terms))
-    c0 = cols[0].coeff(tuple([0] * (h - 1)))
-    c0i = scalar_inv(c0)
-    one = domain_const(ctx, h, dmax, ctx.one())
-    neg_eps = one.sub(cols[0].scale(c0i))
-    inv = one
-    pw = one
-    for _ in range(dmax):
-        pw = pw.mul(neg_eps)
-        if pw.is_zero_at_precision():
-            break
-        inv = inv.add(pw)
-    inv = inv.scale(c0i)
+    c0i = scalar_inv(cols[0].constant_term())
+    inv = geometric_inverse(cols[0].scale(c0i)).scale(c0i)
     return [cols[i].mul(inv) for i in range(1, h)]
 
 

@@ -316,34 +316,20 @@ def frobenius_power_series(module: FormalModule, power: int = 1) -> TruncSeries:
 
 
 def torsion_polynomial(module: FormalModule, m: int) -> dict[int, int]:
-    """[p^m](X) as an exact integer polynomial (the m-fold composite of f)."""
+    """[p^m](X), the m-fold composite of f, with coefficients mod p^N of the
+    module's ring; zero coefficients are dropped.
+
+    f has degree d, so the composite has degree d^m, and compose_univariate
+    truncated there is exact.
+    """
     if module.frobenius_poly is None:
         raise ValueError("module has no exact [p] polynomial")
-    cur = {1: 1}
+    dmax = max(module.frobenius_poly) ** m
+    f = series_from_int_coeffs(module.ring, module.frobenius_poly, dmax)
+    cur = series_from_int_coeffs(module.ring, {1: 1}, dmax)
     for _ in range(m):
-        cur = _poly_compose_int(cur, module.frobenius_poly)
-    return cur
-
-
-def _poly_mul_int(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_compose_int(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
-    deg = max(outer, default=0)
-    acc: dict[int, int] = {}
-    for d in range(deg, -1, -1):
-        acc = _poly_mul_int(acc, inner) if acc else {}
-        c = outer.get(d, 0)
-        if c:
-            acc[0] = acc.get(0, 0) + c
-            if acc[0] == 0:
-                del acc[0]
-    return acc
+        cur = compose_univariate(f, cur)
+    return {e: c for (e,), c in cur.terms.items()}
 
 
 def eval_series_in_quot(series: TruncSeries, x, ring: QuotRing):

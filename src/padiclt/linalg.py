@@ -17,6 +17,9 @@ single precision throughout.  A zero entry is all-zero coordinates at any
 precision, so leaving it out of the dict loses nothing; only the output
 needs the row's precision back, for the zeros of the returned basis.
 
+pivot_divider divides by p^v through padics._shift_down, the one exact
+p-shift of a scalar, shared with DomainFunc.scale_down.
+
 Valuations are cached when an entry is written, and each row keeps its least
 (valuation, col), so a pivot step scans rows, not entries.  The pivot's unit
 part is inverted once per step, and only the rows with a nonzero entry in
@@ -43,24 +46,13 @@ from .padics import (
     _coords_valuation,
     _pack,
     _reduce_packed,
+    _shift_down,
     _slot_width,
     _unpack,
     scalar_inv,
     scalar_mul,
     scalar_sub,
 )
-
-
-def _shift_down(a: PadicScalar, v: int) -> PadicScalar:
-    """Exact division by p^v; requires every coordinate divisible by p^v."""
-    if v == 0:
-        return a
-    if a.prec <= v:
-        raise PrecisionLossError(f"cannot divide by p^{v} at precision {a.prec}")
-    pv = a.ctx.p ** v
-    if any(c % pv for c in a.coords):
-        raise PrecisionLossError("entry not divisible by pivot power")
-    return PadicScalar(a.ctx, tuple(c // pv for c in a.coords), a.prec - v)
 
 
 def pivot_divider(pivot: PadicScalar):

@@ -46,57 +46,51 @@ class ZeroAtPrecisionError(ArithmeticError):
     """A norm or valuation of something that vanishes at the working precision."""
 
 
-def _poly_gcd_deg_mod_p(f: list[int], g: list[int], p: int) -> int:
-    """Degree of gcd(f, g) in F_p[x] (-1 for gcd zero)."""
+def _inverse_mod_p(f: list[int], g: list[int], p: int) -> list[int] | None:
+    """s with s f = 1 mod (g, p), by extended Euclid in F_p[x]; None when
+    gcd(f, g) != 1 mod p.
 
-    def deg(h):
-        for d in range(len(h) - 1, -1, -1):
-            if h[d] % p:
-                return d
-        return -1
+    The remainders are kept trimmed, so len(r) - 1 is the degree of r (-1 for 0).
+    """
 
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while deg(g) >= 0:
-        df, dg = deg(f), deg(g)
-        if df < dg:
-            f, g = g, f
+    def trim(h):
+        while h and not h[-1]:
+            h.pop()
+        return h
+
+    r0 = trim([c % p for c in g])
+    r1 = trim([c % p for c in f])
+    s0, s1 = [0], [1]
+    while len(r1) > 1:
+        if len(r0) < len(r1):
+            r0, r1, s0, s1 = r1, r0, s1, s0
             continue
-        lead = (f[deg(f)] * pow(g[deg(g)], -1, p)) % p
-        shift = df - dg
-        for k in range(dg + 1):
-            if g[k]:
-                f[k + shift] = (f[k + shift] - lead * g[k]) % p
-        if deg(f) < deg(g):
-            f, g = g, f
-    return deg(f)
+        lead = (r0[-1] * pow(r1[-1], -1, p)) % p
+        shift = len(r0) - len(r1)
+        for k, x in enumerate(r1):
+            if x:
+                r0[k + shift] = (r0[k + shift] - lead * x) % p
+        trim(r0)
+        s0 = s0 + [0] * (len(s1) + shift - len(s0))
+        for k in range(len(s1)):
+            if s1[k]:
+                s0[k + shift] = (s0[k + shift] - lead * s1[k]) % p
+    if not r1:
+        return None
+    c_inv = pow(r1[0], -1, p)
+    return [(c_inv * x) % p for x in s1]
 
 
 def _is_irreducible_mod_p(poly: list[int], p: int) -> bool:
-    """Rabin test: x^(p^e) = x mod poly and gcd(x^(p^(e/r)) - x, poly) = 1."""
+    """Rabin test: x^(p^e) = x mod poly, and x^(p^(e/r)) - x is a unit mod
+    (poly, p), i.e. prime to poly, for each prime r dividing e."""
     poly = tuple(poly)  # _coords_mul caches its rows per modulus
     e = len(poly) - 1
     if e == 1:
         return True
 
     x = (0, 1) + (0,) * (e - 2)
-
-    def frob_power(times: int) -> tuple[int, ...]:
-        # x^(p^times) mod poly by repeated p-th powering
-        cur = x
-        for _ in range(times):
-            acc = (1,) + (0,) * (e - 1)
-            base = cur
-            n = p
-            while n:
-                if n & 1:
-                    acc = _coords_mul(acc, base, poly, e, p)
-                base = _coords_mul(base, base, poly, e, p)
-                n >>= 1
-            cur = acc
-        return cur
-
-    if frob_power(e) != x:
+    if _coords_pow(x, p ** e, poly, e, p) != x:
         return False
     primes = set()
     n = e
@@ -109,9 +103,8 @@ def _is_irreducible_mod_p(poly: list[int], p: int) -> bool:
     if n > 1:
         primes.add(n)
     for r in primes:
-        h = frob_power(e // r)
-        diff = [(h[k] - x[k]) % p for k in range(e)]
-        if _poly_gcd_deg_mod_p(diff, list(poly), p) != 0:
+        h = _coords_pow(x, p ** (e // r), poly, e, p)
+        if _inverse_mod_p([(h[k] - x[k]) % p for k in range(e)], list(poly), p) is None:
             return False
     return True
 
@@ -334,6 +327,19 @@ def _coords_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...]
     return tuple([c % pn for c in low])
 
 
+def _coords_pow(x: tuple[int, ...], n: int, modulus: tuple[int, ...], e: int,
+                pn: int) -> tuple[int, ...]:
+    """Coordinates of x^n mod (Phi, pn), n >= 0, by square-and-multiply."""
+    acc = (1,) + (0,) * (e - 1)
+    while n:
+        if n & 1:
+            acc = _coords_mul(acc, x, modulus, e, pn)
+        n >>= 1
+        if n:
+            x = _coords_mul(x, x, modulus, e, pn)
+    return acc
+
+
 def _pack(coords, width: int) -> int:
     """sum_i coords[i] 2^(i width): the low coordinate in the low slot."""
     x = 0
@@ -400,42 +406,27 @@ def scalar_mul_int(a: PadicScalar, k: int) -> PadicScalar:
     return PadicScalar(a.ctx, tuple((c * k) % pn for c in a.coords), a.prec)
 
 
-def _residue_inverse(a: PadicScalar) -> PadicScalar:
-    """Inverse of the residue of `a` in F_{p^e}, via extended Euclid in F_p[x].
+def _shift_down(a: PadicScalar, v: int) -> PadicScalar:
+    """Exact division by p^v; requires every coordinate divisible by p^v."""
+    if v == 0:
+        return a
+    if a.prec <= v:
+        raise PrecisionLossError(f"cannot divide by p^{v} at precision {a.prec}")
+    pv = a.ctx.p ** v
+    if any(c % pv for c in a.coords):
+        raise PrecisionLossError(f"coordinates not divisible by p^{v}")
+    return PadicScalar(a.ctx, tuple(c // pv for c in a.coords), a.prec - v)
 
-    The remainders are kept trimmed, so len(r) - 1 is the degree of r (-1 for 0).
-    """
+
+def _residue_inverse(a: PadicScalar) -> PadicScalar:
+    """Inverse of the residue of `a` in F_{p^e}, by _inverse_mod_p."""
     ctx = a.ctx
     p = ctx.p
     if ctx.e == 1:
         return ctx.from_int(pow(a.coords[0] % p, -1, p), 1)
-
-    def trim(f):
-        while f and not f[-1]:
-            f.pop()
-        return f
-
-    r0 = trim([c % p for c in ctx.modulus])
-    r1 = trim([c % p for c in a.coords])
-    s0, s1 = [0], [1]
-    while len(r1) > 1:
-        if len(r0) < len(r1):
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        lead = (r0[-1] * pow(r1[-1], -1, p)) % p
-        shift = len(r0) - len(r1)
-        for k, x in enumerate(r1):
-            if x:
-                r0[k + shift] = (r0[k + shift] - lead * x) % p
-        trim(r0)
-        s0 = s0 + [0] * (len(s1) + shift - len(s0))
-        for k in range(len(s1)):
-            if s1[k]:
-                s0[k + shift] = (s0[k + shift] - lead * s1[k]) % p
-    if not r1:
+    inv = _inverse_mod_p(list(a.coords), list(ctx.modulus), p)
+    if inv is None:
         raise NonUnitError("zero residue has no inverse")
-    c_inv = pow(r1[0], -1, p)
-    inv = [(c_inv * x) % p for x in s1]
     return ctx.from_coords(inv, 1)
 
 
@@ -559,15 +550,8 @@ def make_context(p: int, e: int, N: int) -> UnramContext:
     )
     ctx0 = UnramContext(p, e, N, modulus, identity_cols)
 
-    # sigma(x) is the root of the modulus congruent to x^p mod p, taken by
-    # square-and-multiply
-    start, square, k = ctx0.one().at_precision(1), ctx0.gen().at_precision(1), p
-    while k:
-        if k & 1:
-            start = scalar_mul(start, square)
-        k >>= 1
-        if k:
-            square = scalar_mul(square, square)
+    # sigma(x) is the root of the modulus congruent to x^p mod p
+    start = ctx0.from_coords(_coords_pow(ctx0.gen().coords, p, modulus, e, p), 1)
     root = _lift_root_newton(ctx0, start)
 
     cols = []

@@ -71,9 +71,9 @@ def test_invalid_config_exits_2(tmp_path):
         with pytest.raises(ConfigInvalidError):
             run(ExperimentConfig("reachability", h=h))
     # sizes beyond an experiment's budget exit 2 before any work, not hang
-    for name in ("lie-bracket", "kernels"):
+    for name, edge in (("lie-bracket", "6"), ("kernels", "10")):
         assert main(["run", name, "--h", "12"]) == 2, name
-        assert main(["run", name, "--h", "6"]) == 2, name
+        assert main(["run", name, "--h", edge]) == 2, name
         with pytest.raises(ConfigInvalidError, match="budget"):
             run(ExperimentConfig(name, h=12, Dmax=40))
     # j-homomorphism's determinant has 2^h states

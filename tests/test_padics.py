@@ -15,6 +15,8 @@ from padiclt.padics import (
     UnramContext,
     _PRIME_BOUND,
     _coords_mul,
+    _coords_pow,
+    _inverse_mod_p,
     _is_irreducible_mod_p,
     _is_prime,
     _lift_root_newton,
@@ -71,6 +73,28 @@ def test_rabin_test_matches_factor_search(p, e):
     assert got == set(_monic(p, e)) - reducible
     # Gauss's count of monic irreducibles: (p^2 - p)/2 and (p^3 - p)/3
     assert len(got) == (p ** e - p) // e
+
+
+@pytest.mark.parametrize("p,degrees", [(2, (2, 3, 4)), (3, (2, 3))])
+def test_inverse_mod_p_matches_a_search_on_every_modulus(p, degrees):
+    # reducible moduli included: Rabin's test asks _inverse_mod_p whether
+    # x^(p^(e/r)) - x is prime to each candidate, and most candidates are reducible
+    for e in degrees:
+        residues = list(itertools.product(range(p), repeat=e))
+        one = (1,) + (0,) * (e - 1)
+        for g in _monic(p, e):
+            every_unit = True
+            for f in residues[1:]:
+                found = [s for s in residues if _coords_mul(s, f, g, e, p) == one]
+                got = _inverse_mod_p(list(f), list(g), p)
+                if not found:
+                    every_unit = False
+                    assert got is None, (g, f)
+                    continue
+                assert got is not None and len(got) <= e, (g, f)
+                assert tuple(got) + (0,) * (e - len(got)) == found[0], (g, f)
+            # F_p[x]/(g) is a field exactly when g is irreducible
+            assert _is_irreducible_mod_p(list(g), p) == every_unit, g
 
 
 def test_frobenius_order_and_residue_power():
@@ -300,17 +324,24 @@ def _reference_power(x, k):
 def test_make_context_takes_the_residue_power_in_log_p_products(monkeypatch):
     calls = []
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(1)
-        return scalar_mul(a, b)
+        return _coords_mul(*args)
 
-    monkeypatch.setattr(padics, "scalar_mul", counted)
+    monkeypatch.setattr(padics, "_coords_mul", counted)
     p = 1_000_003
-    # at N = 1 there is no Newton lift; the e = 2 columns take 2 more products
+    # Rabin tries x^2 (x^(p^2) only) and x^2 + 1 (x^(p^2) and x^p); sigma(x)
+    # starts at x^p.  Each power x^n takes at most 2 log2 n products; at N = 1
+    # there is no Newton lift, and the e = 2 columns take 2 more products
     ctx = make_context(p, 2, 1)
-    assert len(calls) <= 2 * math.log2(p)
+    assert ctx.modulus == (1, 0, 1)
+    assert len(calls) <= 12 * math.log2(p) + 2
     x = ctx.gen()
-    assert frobenius(x) == _reference_power(x, p)
+    xp = _reference_power(x, p)
+    assert frobenius(x) == xp
+    calls.clear()
+    assert _coords_pow(x.coords, p, ctx.modulus, 2, p) == xp.coords
+    assert len(calls) <= 2 * math.log2(p)
 
 
 def test_valuation_examples_and_properties():

@@ -173,6 +173,40 @@ def test_level_structure_torsion_points(p):
     assert not level_structure_check(M, [ring.zero()] * p, 1, ring)
 
 
+def _poly_mul_int(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_compose_int(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
+    """outer(inner) over the integers, by Horner: the old torsion_polynomial step."""
+    acc: dict[int, int] = {}
+    for d in range(max(outer, default=0), -1, -1):
+        acc = _poly_mul_int(acc, inner) if acc else {}
+        if outer.get(d, 0):
+            acc[0] = acc.get(0, 0) + outer[d]
+            if acc[0] == 0:
+                del acc[0]
+    return acc
+
+
+@pytest.mark.parametrize("p,ms", [(2, (0, 1, 2, 3)), (3, (0, 1, 2)), (5, (0, 1, 2))])
+@pytest.mark.parametrize("N", [1, 3, 6])
+def test_torsion_polynomial_is_the_exact_composite_mod_p_to_the_n(p, ms, N):
+    f = {1: p, p: 1}
+    M = lt_construct(p, f, p, N)
+    exact = {1: 1}
+    for m in range(max(ms) + 1):
+        if m in ms:
+            pn = p ** N
+            assert torsion_polynomial(M, m) == {e: c % pn for e, c in exact.items()
+                                                if c % pn}, m
+        exact = _poly_compose_int(exact, f)
+
+
 def test_level_structure_edge_cases():
     M, ring = _level_ring(3)
     assert level_structure_check(M, [ring.zero()], 0, ring)
